@@ -1,7 +1,7 @@
 // Pipelined-engine regression pins: the async engine's contract is
 // that its issue/commit trace — and therefore the whole Result — is a
 // pure function of the strategy and the pipeline depth, never of the
-// worker count. Each campaign below runs under core.TuneAsync at
+// worker count. Each campaign below runs core.Tune in Async mode at
 // workers 1, 4 and 8 and every fingerprint must be bit-identical to
 // the one golden recorded for the campaign. The simplex campaign goes
 // through the AsAsync round-buffering adapter, the ensemble campaign

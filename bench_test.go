@@ -239,8 +239,8 @@ func BenchmarkFig6GS2Distribution(b *testing.B) {
 	b.ReportMetric(100*frac, "%within-1.6x-of-best")
 }
 
-// BenchmarkTuneParallel measures the wall-clock benefit of the
-// parallel evaluation engine on a PRO session against the Fig. 2
+// BenchmarkTuneParallel measures the wall-clock benefit of several
+// engine workers on a PRO session against the Fig. 2
 // PETSc decomposition objective. Each evaluation pays a real-time
 // job-launch latency on top of the simulated execution — the re-run
 // and warm-up costs the paper charges to tuning time — and parallel
@@ -534,11 +534,10 @@ func BenchmarkDistMatVecWorkspace(b *testing.B) {
 // campaign shapes cover the two hot paths: the Fig. 2 PETSc
 // decomposition (sparse MatVec dominated, PRO search so workers get
 // parallel proposal batches) and the Table 3 GS2 resolution sweep,
-// whose sequential simplex is the round-barrier engine's worst case.
+// whose sequential simplex is barrier mode's worst case.
 //
-// Each campaign runs under both engines. engine=round is the
-// per-round barrier (Tune/TuneParallel as before this PR);
-// engine=pipeline is the asynchronous issue/commit engine, with the
+// Each campaign runs in both engine modes. engine=round is barrier
+// mode (Options.Async off); engine=pipeline is Async mode, with the
 // Table 3 campaign searched by the bandit ensemble — the strategy
 // built to keep the candidate queue full — instead of the one-point-
 // in-flight simplex. cmd/benchjson pairs the round and pipeline

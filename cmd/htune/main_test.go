@@ -153,8 +153,8 @@ func TestSubstitute(t *testing.T) {
 	}
 }
 
-// TestHtuneParallelWorkers drives the same shell objective through
-// the parallel engine: the PRO rounds fan concurrent command
+// TestHtuneParallelWorkers drives the same shell objective with
+// several workers: the PRO rounds fan concurrent command
 // invocations out over the worker pool.
 func TestHtuneParallelWorkers(t *testing.T) {
 	if _, err := os.Stat("/bin/sh"); err != nil {

@@ -26,7 +26,7 @@ func asyncStrategies(sp *space.Space) map[string]func() search.Strategy {
 	}
 }
 
-// TestTuneAsyncDeterministicAcrossWorkers pins the pipelined engine's
+// TestTuneAsyncDeterministicAcrossWorkers pins Async mode's
 // headline property: the issue/commit trace depends on AsyncDepth and
 // the strategy, never on Workers, so every Result field except
 // WorkerOccupancy is bit-identical for 1, 4, and 8 workers.
@@ -38,8 +38,8 @@ func TestTuneAsyncDeterministicAcrossWorkers(t *testing.T) {
 			var fingerprints []string
 			var results []*Result
 			for _, workers := range []int{1, 4, 8} {
-				res, err := TuneAsync(context.Background(), sp, mk(), parBowl,
-					Options{MaxRuns: maxRuns, RunOverhead: 3, Workers: workers})
+				res, err := Tune(context.Background(), sp, mk(), parBowl,
+					Options{MaxRuns: maxRuns, RunOverhead: 3, Workers: workers, Async: true})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
 				}
@@ -72,8 +72,8 @@ func TestTuneAsyncDeterministicAcrossWorkers(t *testing.T) {
 
 // TestTuneAsyncMatchesSequentialTune verifies that pipelining is a
 // wall-clock optimisation, not a semantic change: for strategies
-// whose batch view replays the sequential state machine, the
-// pipelined engine reproduces Tune's accounting exactly.
+// whose batch view replays the sequential state machine, Async mode
+// reproduces barrier mode's accounting exactly.
 func TestTuneAsyncMatchesSequentialTune(t *testing.T) {
 	sp := parallelSpace(t)
 	for _, name := range []string{"simplex", "pro", "random"} {
@@ -84,8 +84,8 @@ func TestTuneAsyncMatchesSequentialTune(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opt.Workers = 4
-			async, err := TuneAsync(context.Background(), sp, mk(), parBowl, opt)
+			opt.Workers, opt.Async = 4, true
+			async, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,22 +94,34 @@ func TestTuneAsyncMatchesSequentialTune(t *testing.T) {
 	}
 }
 
-// TestTuneOptionsAsyncDelegates verifies the Options.Async routing in
-// Tune.
+// TestTuneOptionsAsyncDelegates verifies Options.Async selects the
+// pipelined mode at DefaultAsyncDepth: the native ensemble keeps
+// several candidates in flight there, so its campaign differs from
+// barrier mode, which drives it as rounds of one, exactly like the
+// sequential loop at one worker.
 func TestTuneOptionsAsyncDelegates(t *testing.T) {
 	sp := parallelSpace(t)
-	mk := asyncStrategies(sp)["simplex"]
-	direct, err := TuneAsync(context.Background(), sp, mk(), parBowl,
-		Options{MaxRuns: 30, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
+	mk := asyncStrategies(sp)["ensemble"]
+	run := func(opt Options) *Result {
+		t.Helper()
+		res, err := Tune(context.Background(), sp, mk(), parBowl, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
 	}
-	routed, err := Tune(context.Background(), sp, mk(), parBowl,
-		Options{MaxRuns: 30, Workers: 4, Async: true})
-	if err != nil {
-		t.Fatal(err)
+	routed := run(Options{MaxRuns: 30, Workers: 4, Async: true})
+	sameCampaign(t, "default depth", routed,
+		run(Options{MaxRuns: 30, Workers: 4, Async: true, AsyncDepth: DefaultAsyncDepth}))
+	barrier := run(Options{MaxRuns: 30, Workers: 4})
+	sameCampaign(t, "barrier mode", barrier, run(Options{MaxRuns: 30}))
+	same := len(barrier.Trials) == len(routed.Trials)
+	for i := 0; same && i < len(barrier.Trials); i++ {
+		same = barrier.Trials[i].Point.Equal(routed.Trials[i].Point)
 	}
-	sameCampaign(t, "async routing", routed, direct)
+	if same {
+		t.Fatal("Async made no difference to the ensemble's campaign")
+	}
 }
 
 // TestTuneAsyncStopBelow verifies the session ends at the earliest
@@ -117,14 +129,14 @@ func TestTuneOptionsAsyncDelegates(t *testing.T) {
 // discarded, not charged.
 func TestTuneAsyncStopBelow(t *testing.T) {
 	sp := parallelSpace(t)
-	opt := Options{MaxRuns: 200, StopBelow: 30, Workers: 4}
+	opt := Options{MaxRuns: 200, StopBelow: 30, Workers: 4, Async: true}
 	seq, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl,
 		Options{MaxRuns: 200, StopBelow: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := TuneAsync(context.Background(), sp,
+	async, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -152,8 +164,8 @@ func TestTuneAsyncFailuresMemoised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	async, err := TuneAsync(context.Background(), sp, mk(), obj,
-		Options{MaxRuns: 40, RunOverhead: 2, Workers: 4})
+	async, err := Tune(context.Background(), sp, mk(), obj,
+		Options{MaxRuns: 40, RunOverhead: 2, Workers: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,14 +181,14 @@ func TestTuneAsyncFailuresMemoised(t *testing.T) {
 func TestTuneAsyncEvalCacheTransparent(t *testing.T) {
 	sp := parallelSpace(t)
 	mk := func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 9}) }
-	opt := Options{MaxRuns: 40, RunOverhead: 2, Workers: 4}
-	bare, err := TuneAsync(context.Background(), sp, mk(), parBowl, opt)
+	opt := Options{MaxRuns: 40, RunOverhead: 2, Workers: 4, Async: true}
+	bare, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := history.NewEvalCache().Bound("bowl", "m", sp)
 	opt.Cache = cache
-	cold, err := TuneAsync(context.Background(), sp, mk(), parBowl, opt)
+	cold, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +197,7 @@ func TestTuneAsyncEvalCacheTransparent(t *testing.T) {
 		calls.Add(1)
 		return parBowl(ctx, cfg)
 	}
-	warm, err := TuneAsync(context.Background(), sp, mk(), counted, opt)
+	warm, err := Tune(context.Background(), sp, mk(), counted, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +224,9 @@ func TestTuneAsyncSurrogatePerCandidate(t *testing.T) {
 		return parBowl(ctx, cfg)
 	}
 	cache := history.NewEvalCache().Bound("bowl", "m", sp)
-	res, err := TuneAsync(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), counted,
-		Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3, Workers: 4,
+		Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3, Workers: 4, Async: true,
 			Cache:     cache,
 			Surrogate: &SurrogateOptions{Model: perfectModel}})
 	if err != nil {
@@ -256,13 +268,13 @@ func TestTuneAsyncSurrogatePerCandidate(t *testing.T) {
 // keeps the queue fed.
 func TestTuneAsyncStarvationObservable(t *testing.T) {
 	sp := parallelSpace(t)
-	opt := Options{MaxRuns: 60, Workers: 4}
-	simplex, err := TuneAsync(context.Background(), sp,
+	opt := Options{MaxRuns: 60, Workers: 4, Async: true}
+	simplex, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ensemble, err := TuneAsync(context.Background(), sp,
+	ensemble, err := Tune(context.Background(), sp,
 		search.NewEnsemble(sp, search.EnsembleOptions{Seed: 17, Budget: 150}), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -285,9 +297,9 @@ func TestTuneAsyncOccupancy(t *testing.T) {
 		time.Sleep(200 * time.Microsecond)
 		return parBowl(ctx, cfg)
 	}
-	res, err := TuneAsync(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), slow,
-		Options{MaxRuns: 40, Workers: 4})
+		Options{MaxRuns: 40, Workers: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,21 +325,20 @@ func TestTuneAsyncContextCancel(t *testing.T) {
 		}
 		return parBowl(ctx, cfg)
 	}
-	_, err := TuneAsync(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 17}), obj,
-		Options{MaxRuns: 500, Workers: 4})
+	_, err := Tune(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 17}), obj,
+		Options{MaxRuns: 500, Workers: 4, Async: true})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
-// TestTuneAsyncSpeculativeSimplex verifies the pipelined engine
-// prefetches a stalled simplex's follow-up candidates and charges a
+// TestTuneAsyncSpeculativeSimplex verifies Async mode prefetches a stalled simplex's follow-up candidates and charges a
 // consumed prefetch exactly like an on-demand run.
 func TestTuneAsyncSpeculativeSimplex(t *testing.T) {
 	sp := parallelSpace(t)
-	res, err := TuneAsync(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewSimplex(sp, search.SimplexOptions{Restarts: 3}), parBowl,
-		Options{MaxRuns: 60, Workers: 4})
+		Options{MaxRuns: 60, Workers: 4, Async: true})
 	if err != nil {
 		t.Fatal(err)
 	}

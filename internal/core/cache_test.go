@@ -88,9 +88,9 @@ func TestTuneEvalCacheTransparent(t *testing.T) {
 	}
 }
 
-// TestTuneParallelEvalCacheTransparent is the same contract for the
-// parallel engine at several worker counts: the warm-cache campaign
-// is identical to the uncached baseline and runs nothing.
+// TestTuneParallelEvalCacheTransparent is the same contract at
+// several worker counts: the warm-cache campaign is identical to the
+// uncached baseline and runs nothing.
 func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 	sp := bowlSpace(t)
 	opt := Options{MaxRuns: 60, RunOverhead: 1}
@@ -98,9 +98,9 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 		return search.NewPRO(sp, search.PROOptions{Seed: 7})
 	}
 
-	base, err := TuneParallel(context.Background(), sp, newStrat(), bowl, opt)
+	base, err := Tune(context.Background(), sp, newStrat(), bowl, opt)
 	if err != nil {
-		t.Fatalf("TuneParallel (uncached): %v", err)
+		t.Fatalf("Tune (uncached): %v", err)
 	}
 
 	for _, workers := range []int{1, 4} {
@@ -108,9 +108,9 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 		copt := opt
 		copt.Cache = cache
 		copt.Workers = workers
-		cold, err := TuneParallel(context.Background(), sp, newStrat(), bowl, copt)
+		cold, err := Tune(context.Background(), sp, newStrat(), bowl, copt)
 		if err != nil {
-			t.Fatalf("TuneParallel (cold, workers=%d): %v", workers, err)
+			t.Fatalf("Tune (cold, workers=%d): %v", workers, err)
 		}
 		sameCampaign(t, "cold", cold, base)
 		if cold.CacheHits != 0 {
@@ -118,9 +118,9 @@ func TestTuneParallelEvalCacheTransparent(t *testing.T) {
 		}
 
 		var calls atomic.Int64
-		warm, err := TuneParallel(context.Background(), sp, newStrat(), countingBowl(&calls), copt)
+		warm, err := Tune(context.Background(), sp, newStrat(), countingBowl(&calls), copt)
 		if err != nil {
-			t.Fatalf("TuneParallel (warm, workers=%d): %v", workers, err)
+			t.Fatalf("Tune (warm, workers=%d): %v", workers, err)
 		}
 		sameCampaign(t, "warm", warm, base)
 		if warm.CacheHits != warm.Runs {

@@ -38,9 +38,9 @@ func resultFingerprint(r *Result) string {
 		r.Runs, r.Proposals, r.Failures, r.BestValue, r.BestAtRun, r.FirstValue, r.TuningCost, len(r.Trials))
 }
 
-// TestTuneParallelDeterministicAcrossWorkers verifies the issue's
-// headline property: with a fixed seed, TuneParallel produces
-// identical accounting — same BestValue, same Runs, same trial
+// TestTuneParallelDeterministicAcrossWorkers verifies barrier mode's
+// headline property: with a fixed seed, Tune produces identical
+// accounting — same BestValue, same Runs, same trial
 // sequence — for 1 and 8 workers, for PRO and random search, and
 // never exceeds MaxRuns.
 func TestTuneParallelDeterministicAcrossWorkers(t *testing.T) {
@@ -55,7 +55,7 @@ func TestTuneParallelDeterministicAcrossWorkers(t *testing.T) {
 			var fingerprints []string
 			var trials [][]Trial
 			for _, workers := range []int{1, 8} {
-				res, err := TuneParallel(context.Background(), sp, mk(), parBowl,
+				res, err := Tune(context.Background(), sp, mk(), parBowl,
 					Options{MaxRuns: maxRuns, RunOverhead: 3, Workers: workers})
 				if err != nil {
 					t.Fatalf("workers=%d: %v", workers, err)
@@ -80,10 +80,10 @@ func TestTuneParallelDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestTuneParallelMatchesSequentialTune verifies the batch engine
-// reproduces the sequential engine's accounting exactly for natively
-// batched strategies: batching is a wall-clock optimisation, not a
-// semantic change.
+// TestTuneParallelMatchesSequentialTune verifies that evaluating a
+// natively batched strategy's rounds on four workers reproduces the
+// one-worker accounting exactly: batching is a wall-clock
+// optimisation, not a semantic change.
 func TestTuneParallelMatchesSequentialTune(t *testing.T) {
 	sp := parallelSpace(t)
 	for _, name := range []string{"pro", "random"} {
@@ -100,7 +100,7 @@ func TestTuneParallelMatchesSequentialTune(t *testing.T) {
 				t.Fatal(err)
 			}
 			opt.Workers = 4
-			par, err := TuneParallel(context.Background(), sp, mk(), parBowl, opt)
+			par, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -135,7 +135,7 @@ func TestTuneParallelInFlightDedup(t *testing.T) {
 		v := float64(cfg.Int("x") - 2)
 		return v*v + 1, nil
 	}
-	res, err := TuneParallel(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 1}), obj,
 		Options{MaxRuns: 10, Workers: 4})
 	if err != nil {
@@ -159,7 +159,7 @@ func TestTuneParallelStopBelow(t *testing.T) {
 	sp := parallelSpace(t)
 	var prints []string
 	for _, workers := range []int{1, 6} {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewRandom(sp, 11, 500), parBowl,
 			Options{MaxRuns: 400, StopBelow: 900, Workers: workers})
 		if err != nil {
@@ -182,7 +182,7 @@ func TestTuneParallelStopBelow(t *testing.T) {
 // TestTuneParallelSpeculativeSimplex verifies the speculative simplex
 // path: with spare workers the engine prefetches expansion and
 // contraction candidates, the search trajectory and charged accounting
-// are identical to the sequential engine, and the speculation is
+// are identical to a one-worker session, and the speculation is
 // visible in the result.
 func TestTuneParallelSpeculativeSimplex(t *testing.T) {
 	sp := parallelSpace(t)
@@ -195,7 +195,7 @@ func TestTuneParallelSpeculativeSimplex(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt.Workers = 4
-	par, err := TuneParallel(context.Background(), sp, mk(), parBowl, opt)
+	par, err := Tune(context.Background(), sp, mk(), parBowl, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,13 +210,14 @@ func TestTuneParallelSpeculativeSimplex(t *testing.T) {
 		t.Fatal("no speculative evaluation was ever used; the simplex always follows a reflection with expansion or contraction")
 	}
 	if seq.SpeculativeRuns != 0 || seq.SpeculativeHits != 0 {
-		t.Fatalf("sequential engine reported speculation: %d/%d", seq.SpeculativeRuns, seq.SpeculativeHits)
+		t.Fatalf("one-worker session reported speculation: %d/%d", seq.SpeculativeRuns, seq.SpeculativeHits)
 	}
 }
 
 // TestTuneChargesOverheadForFailedRuns is the regression test for the
-// cost-accounting fix: failed runs still pay launch and teardown, in
-// both engines, per the paper's "all costs ... into consideration".
+// cost-accounting fix: failed runs still pay launch and teardown, at
+// any worker count, per the paper's "all costs ... into
+// consideration".
 func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 9, 1))
 	failing := errors.New("configuration crashed")
@@ -228,7 +229,7 @@ func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 	}
 	const overhead = 5.0
 	for _, workers := range []int{1, 3} {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewExhaustive(sp), obj,
 			Options{RunOverhead: overhead, Workers: workers})
 		if err != nil {
@@ -248,8 +249,7 @@ func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 			t.Fatalf("workers=%d: TuningCost=%v, want %v (failures must be charged RunOverhead)", workers, res.TuningCost, wantCost)
 		}
 	}
-	// The sequential engine path (Workers unset goes through Tune's
-	// own loop) must agree.
+	// Workers unset, the paper's sequential loop, must agree.
 	res, err := Tune(context.Background(), sp, search.NewExhaustive(sp), obj, Options{RunOverhead: overhead})
 	if err != nil {
 		t.Fatal(err)
@@ -259,8 +259,8 @@ func TestTuneChargesOverheadForFailedRuns(t *testing.T) {
 	}
 }
 
-// TestTuneWorkersOptionDelegates verifies Options.Workers routes Tune
-// through the parallel engine.
+// TestTuneWorkersOptionDelegates verifies Options.Workers gives Tune
+// spare workers to speculate on.
 func TestTuneWorkersOptionDelegates(t *testing.T) {
 	sp := parallelSpace(t)
 	res, err := Tune(context.Background(), sp,
@@ -270,12 +270,40 @@ func TestTuneWorkersOptionDelegates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.SpeculativeRuns == 0 {
-		t.Fatal("Tune with Workers=4 did not reach the speculative parallel engine")
+		t.Fatal("Tune with Workers=4 launched no speculative evaluation")
+	}
+}
+
+// TestTuneBarrierStarvationBounded pins barrier mode's starvation
+// counters: a refill pass issues one round and can leave at most
+// Workers slots idle, so QueueStarved never exceeds the number of
+// rounds and IdleSlots never exceeds Workers per starved pass. A
+// one-point simplex round cannot fill eight workers.
+func TestTuneBarrierStarvationBounded(t *testing.T) {
+	sp := parallelSpace(t)
+	strategies := map[string]func() search.Strategy{
+		"simplex": func() search.Strategy { return search.NewSimplex(sp, search.SimplexOptions{Restarts: 2}) },
+		"pro":     func() search.Strategy { return search.NewPRO(sp, search.PROOptions{Seed: 7}) },
+	}
+	for name, mk := range strategies {
+		for _, workers := range []int{1, 4, 8} {
+			res, err := Tune(context.Background(), sp, mk(), parBowl, Options{MaxRuns: 60, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if res.QueueStarved > res.Proposals || res.IdleSlots > workers*res.QueueStarved {
+				t.Fatalf("%s workers=%d: starved=%d idle=%d over %d proposals",
+					name, workers, res.QueueStarved, res.IdleSlots, res.Proposals)
+			}
+			if name == "simplex" && workers == 8 && res.QueueStarved == 0 {
+				t.Fatal("one-point simplex rounds never starved eight workers")
+			}
+		}
 	}
 }
 
 // TestTuneParallelContextCancel verifies cancellation surfaces as the
-// context error, like the sequential engine.
+// context error with several workers, as with one.
 func TestTuneParallelContextCancel(t *testing.T) {
 	sp := parallelSpace(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -291,7 +319,7 @@ func TestTuneParallelContextCancel(t *testing.T) {
 		}
 		return parBowl(c, cfg)
 	}
-	_, err := TuneParallel(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 1}), obj,
+	_, err := Tune(ctx, sp, search.NewPRO(sp, search.PROOptions{Seed: 1}), obj,
 		Options{MaxRuns: 100, Workers: 4})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -315,7 +343,7 @@ func TestTuneParallelRaceStress(t *testing.T) {
 		concurrent.Add(-1)
 		return parBowl(c, cfg)
 	}
-	res, err := TuneParallel(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 5, Points: 8}), obj,
 		Options{MaxRuns: 64, Workers: 8})
 	if err != nil {

@@ -9,29 +9,30 @@ import (
 // Surrogate predicts the objective value of a configuration
 // analytically — from a closed-form performance model of the
 // application and machine — without running anything. The tuning
-// engines use the prediction only to decide *what to evaluate*: a
+// engine uses the prediction only to decide *what to evaluate*: a
 // configuration the model ranks poorly may be skipped, but every
 // value the session reports (Best, FirstValue, the measured trial
 // log, the evaluation caches) comes from a genuine objective run.
 //
 // Predictions must be deterministic pure functions of the point: the
-// engines may score the same point repeatedly and on any goroutine.
+// engine may score the same point repeatedly and on any goroutine.
 type Surrogate interface {
 	// Predict returns the model's predicted objective value for the
 	// configuration, in the objective's own units (lower is better).
 	// The prediction must be a positive finite number; returning
 	// ok=false declares the point outside the model's competence, and
 	// the engine falls back to fully simulating the round containing
-	// it.
+	// it (barrier mode) or the candidate itself (Async mode).
 	Predict(pt space.Point, cfg space.Config) (float64, bool)
 }
 
 // SurrogateOptions attach a performance-model surrogate to a tuning
-// session (Options.Surrogate). The engine scores every proposed round
-// with the model and simulates only the fraction the model ranks
-// best; the rest are pruned — reported to the search strategy at
-// their predicted value, flagged Trial.Pruned, and never charged to
-// Runs, TuningCost, Best, or the evaluation caches.
+// session (Options.Surrogate). The engine scores proposals with the
+// model and simulates only those it ranks best — per round in barrier
+// mode, per candidate in Async mode; the rest are pruned — reported
+// to the search strategy at their predicted value, flagged
+// Trial.Pruned, and never charged to Runs, TuningCost, Best, or the
+// evaluation caches.
 type SurrogateOptions struct {
 	// Model scores candidate configurations. Nil disables the layer.
 	Model Surrogate
@@ -56,8 +57,8 @@ const (
 	DefaultSurrogateTolerance = 0.05
 )
 
-// surrogateState is the per-session pruning state shared by the
-// engines.
+// surrogateState is the per-session pruning state of the engine and
+// of SurrogateGate.
 type surrogateState struct {
 	model Surrogate
 	keep  float64
@@ -100,11 +101,11 @@ func (s *surrogateState) scoreBatch(pts []space.Point, cfgs []space.Config) ([]f
 }
 
 // keepMask decides which points of a scored round to simulate. Rounds
-// of one (sequential strategies) keep the point unless the model
-// ranks it confidently worse than the best configuration the session
-// has already committed to simulate; larger rounds keep the
-// top ceil(Keep×n) scores plus every near-tie within Tolerance of the
-// cut. The decision depends only on the scores, so it is identical
+// of one (sequential strategies, and every candidate in Async mode)
+// keep the point unless the model ranks it confidently worse than the
+// best configuration the session has already committed to simulate;
+// larger rounds keep the top ceil(Keep×n) scores plus every near-tie
+// within Tolerance of the cut. The decision depends only on the scores, so it is identical
 // for every worker count.
 func (s *surrogateState) keepMask(scores []float64) []bool {
 	keep := make([]bool, len(scores))
@@ -145,10 +146,11 @@ func (s *surrogateState) committed(score float64) {
 	}
 }
 
-// SurrogateGate exposes the pruning decision rules to other engines —
-// the on-line tuning server prunes its fetch path with exactly the
-// rules TuneParallel applies to its rounds, so the off-line and
-// on-line modes skip the same configurations for the same model.
+// SurrogateGate exposes the pruning decision rules outside the
+// package — the on-line tuning server prunes its fetch path with
+// exactly the rules Tune applies to its rounds in barrier mode, so
+// the off-line and on-line modes skip the same configurations for the
+// same model.
 type SurrogateGate struct {
 	st *surrogateState
 }

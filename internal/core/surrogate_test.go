@@ -39,7 +39,7 @@ var invertedModel = modelFunc(func(_ space.Point, cfg space.Config) (float64, bo
 func TestSurrogatePrunesAndStaysTransparent(t *testing.T) {
 	sp := parallelSpace(t)
 	opts := Options{MaxRuns: 200, MaxProposals: 200, RunOverhead: 3}
-	full, err := TuneParallel(context.Background(), sp,
+	full, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), parBowl, opts)
 	if err != nil {
 		t.Fatalf("full: %v", err)
@@ -51,7 +51,7 @@ func TestSurrogatePrunesAndStaysTransparent(t *testing.T) {
 		evals.Add(1)
 		return parBowl(ctx, cfg)
 	}
-	pruned, err := TuneParallel(context.Background(), sp,
+	pruned, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), counted, opts)
 	if err != nil {
 		t.Fatalf("pruned: %v", err)
@@ -103,7 +103,7 @@ func TestSurrogateDeterministicAcrossWorkers(t *testing.T) {
 	sp := parallelSpace(t)
 	var logs []string
 	for _, workers := range []int{1, 8} {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewPRO(sp, search.PROOptions{Seed: 17}), parBowl,
 			Options{MaxRuns: 120, MaxProposals: 300, Workers: workers,
 				Surrogate: &SurrogateOptions{Model: perfectModel}})
@@ -123,7 +123,7 @@ func TestSurrogateDeterministicAcrossWorkers(t *testing.T) {
 func TestSurrogateConstantModelSimulatesEverything(t *testing.T) {
 	sp := parallelSpace(t)
 	run := func(sur *SurrogateOptions) *Result {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewPRO(sp, search.PROOptions{Seed: 5}), parBowl,
 			Options{MaxRuns: 60, RunOverhead: 1, Surrogate: sur})
 		if err != nil {
@@ -146,7 +146,7 @@ func TestSurrogateConstantModelSimulatesEverything(t *testing.T) {
 // measurement, and Best is the best of what was measured.
 func TestSurrogateWrongModelNeverCorruptsBest(t *testing.T) {
 	sp := parallelSpace(t)
-	res, err := TuneParallel(context.Background(), sp,
+	res, err := Tune(context.Background(), sp,
 		search.NewPRO(sp, search.PROOptions{Seed: 17}), parBowl,
 		Options{MaxRuns: 120, MaxProposals: 300,
 			Surrogate: &SurrogateOptions{Model: invertedModel}})
@@ -177,7 +177,7 @@ func TestSurrogateFallbackOnDecline(t *testing.T) {
 	sp := parallelSpace(t)
 	declining := modelFunc(func(space.Point, space.Config) (float64, bool) { return 0, false })
 	run := func(sur *SurrogateOptions) *Result {
-		res, err := TuneParallel(context.Background(), sp,
+		res, err := Tune(context.Background(), sp,
 			search.NewPRO(sp, search.PROOptions{Seed: 5}), parBowl,
 			Options{MaxRuns: 40, Surrogate: sur})
 		if err != nil {
@@ -199,7 +199,7 @@ func TestSurrogateFallbackOnDecline(t *testing.T) {
 }
 
 // TestSurrogateSequentialSimplexPrunes covers the rounds-of-one path:
-// Tune with a surrogate routes through the parallel engine and the
+// barrier mode scores each one-point round on its own, and the
 // single-proposal rule prunes points the model ranks confidently
 // worse than the committed best.
 func TestSurrogateSequentialSimplexPrunes(t *testing.T) {

@@ -14,10 +14,8 @@ package core
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 
-	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
@@ -62,50 +60,51 @@ type Options struct {
 	// by every session that proposes it.
 	Cache PointCache
 	// Surrogate, if non-nil with a Model, turns on model-guided
-	// evaluation pruning: every proposed round is scored analytically
-	// and only the fraction the model ranks best is simulated. Pruned
-	// proposals are answered to the search strategy at their predicted
-	// value and recorded as Trial.Pruned, but are never charged to
-	// Runs or TuningCost, never stored in any cache, and never
-	// eligible for Best, FirstValue, or StopBelow: the surrogate
-	// chooses what to evaluate, never what to report. Sessions with a
-	// surrogate always run on the parallel engine (at Workers=1 when
-	// unset), so pruning decisions are identical for every worker
-	// count.
+	// evaluation pruning: proposals are scored analytically and only
+	// those the model ranks best are simulated — the keep fraction of
+	// each round in barrier mode, each candidate against the best
+	// configuration committed so far in Async mode. Pruned proposals
+	// are answered to the search strategy at their predicted value
+	// and recorded as Trial.Pruned, but are never charged to Runs or
+	// TuningCost, never stored in any cache, and never eligible for
+	// Best, FirstValue, or StopBelow: the surrogate chooses what to
+	// evaluate, never what to report. Pruning decisions depend on the
+	// proposals alone, so they are identical for every worker count.
 	Surrogate *SurrogateOptions
 	// Workers is the number of objective evaluations the engine may
-	// have in flight at once. 0 or 1 select the sequential engine;
-	// larger values route the session through TuneParallel, which
-	// fans each independent round of a BatchStrategy (PRO, random,
-	// systematic, exhaustive) over a worker pool and speculatively
-	// prefetches the follow-up candidates of a sequential simplex
-	// step. Result accounting (Runs, Trials, TuningCost, BestAtRun)
-	// is identical regardless of worker count.
+	// have in flight at once; 0 means 1, the paper's sequential loop.
+	// With more, every independent round of a BatchStrategy (PRO,
+	// random, systematic, exhaustive) is evaluated concurrently and
+	// workers a round leaves idle prefetch the follow-up candidates
+	// of a speculating simplex. Result accounting (Runs, Trials,
+	// TuningCost, BestAtRun) is identical regardless of worker count.
 	Workers int
-	// Async routes the session through TuneAsync, the pipelined
-	// issue/commit engine: instead of fanning out one round and
-	// waiting at its barrier, the engine keeps a bounded pipeline of
-	// candidates in flight and commits results to the strategy in
-	// issue order. Accounting stays deterministic — it depends on
-	// AsyncDepth and the strategy, never on Workers or completion
-	// timing.
+	// Async selects the engine's pipelined mode. Off (barrier mode),
+	// the engine issues one round of the strategy, commits it, and
+	// only then asks for the next. On, it keeps up to AsyncDepth
+	// candidates in flight across round boundaries and commits
+	// results to the strategy in issue order, so one slow evaluation
+	// no longer holds up the rest. Both modes produce the same trial
+	// log for a strategy driven through its rounds; only native
+	// issue/commit strategies (the ensemble) and surrogate pruning
+	// behave differently in Async mode. See Tune.
 	Async bool
-	// AsyncDepth is the pipelined engine's candidate-pipeline
-	// capacity: how many issued-but-uncommitted candidates it may
-	// hold. 0 selects DefaultAsyncDepth. The depth is deliberately
-	// independent of Workers (set it at least as large to keep every
-	// worker busy): the issue/commit trace is a pure function of
-	// depth and the strategy, so changing only Workers can never
-	// change the result.
+	// AsyncDepth is the pipeline capacity in Async mode: how many
+	// issued-but-uncommitted candidates the engine may hold. 0
+	// selects DefaultAsyncDepth; barrier mode ignores it. The depth
+	// is deliberately independent of Workers (set it at least as
+	// large to keep every worker busy): the issue/commit trace is a
+	// pure function of depth and the strategy, so changing only
+	// Workers can never change the result.
 	AsyncDepth int
 	// Logf, if non-nil, receives one line per evaluation.
 	Logf func(format string, args ...any)
 }
 
 // PointCache is a cross-session evaluation cache consulted by the
-// tuning engines. Implementations must be safe for concurrent use
-// (the parallel engine looks points up from its coordinating
-// goroutine but servers may share one cache across sessions) and must
+// tuning engine. Implementations must be safe for concurrent use
+// (the engine looks points up from its coordinating goroutine but
+// servers may share one cache across sessions) and must
 // only answer for the exact (application, machine, space) identity
 // they were bound to — see history.EvalCache.
 type PointCache interface {
@@ -149,17 +148,19 @@ type Result struct {
 	Converged  bool    // the strategy stopped on its own
 	Trials     []Trial
 	BestAtRun  int // run number that produced the incumbent best
-	// SpeculativeRuns counts objective evaluations the parallel
-	// engine launched ahead of need — simplex expansion/contraction
-	// prefetches and round stragglers cancelled by StopBelow. They
+	// SpeculativeRuns counts objective evaluations the engine
+	// launched ahead of need — simplex expansion/contraction
+	// prefetches and candidates left past a StopBelow cut. They
 	// consume wall-clock on spare workers but are not charged to
 	// Runs or TuningCost unless the strategy actually proposes them
-	// (see SpeculativeHits); the sequential engine never speculates.
+	// (see SpeculativeHits); with one worker the engine never
+	// speculates.
 	SpeculativeRuns int
 	// SpeculativeHits counts speculative evaluations whose point the
 	// strategy later proposed for real. Each hit is charged to Runs
 	// and TuningCost exactly as if it had been evaluated on demand,
-	// so accounting matches the sequential engine; the wall-clock win
+	// so accounting matches a session without speculation; the
+	// wall-clock win
 	// is that the result was already in hand.
 	SpeculativeHits int
 	// CacheHits counts runs answered by Options.Cache; CacheMisses
@@ -171,9 +172,10 @@ type Result struct {
 	CacheMisses int
 	// SurrogateKept counts proposals the surrogate model scored and
 	// committed to simulation; SurrogatePruned counts proposals it
-	// skipped. SurrogateFallbacks counts rounds fully simulated
-	// because the model declined a point or predicted a degenerate
-	// score. All three are zero without Options.Surrogate.
+	// skipped. SurrogateFallbacks counts rounds (barrier mode) or
+	// candidates (Async mode) simulated without pruning because the
+	// model declined a point or predicted a degenerate score. All
+	// three are zero without Options.Surrogate.
 	SurrogateKept      int
 	SurrogatePruned    int
 	SurrogateFallbacks int
@@ -182,18 +184,22 @@ type Result struct {
 	// busy-time / (Workers × session wall clock). It is a wall-clock
 	// diagnostic — the only Result field that is not deterministic —
 	// and it is what makes the "parallel but starved" failure mode
-	// (throughput dropping as workers rise) observable directly. The
-	// sequential engine leaves it 0.
+	// (throughput dropping as workers rise) observable directly.
 	WorkerOccupancy float64
-	// QueueStarved counts the deterministic refill passes on which an
-	// engine had capacity for more in-flight work but the strategy
-	// could not propose: pipeline slots free but the strategy stalled
-	// on in-flight values (TuneAsync), or a round too small to fill
-	// the worker pool (TuneParallel).
+	// QueueStarved counts starved refill passes. A refill pass is the
+	// engine's scheduling point: in Async mode one follows every
+	// commit, in barrier mode one issues each round. A pass is
+	// starved when it ends with the strategy stalled and fewer
+	// evaluation slots filled than the mode provides. Async mode
+	// provides AsyncDepth pipeline slots, filled by the candidates in
+	// flight. Barrier mode provides Workers slots, filled by the
+	// round's fresh evaluations and the prefetches launched beside
+	// it. Both counters are pure functions of the commit sequence.
 	QueueStarved int
-	// IdleSlots accumulates how many evaluation slots went unfilled
-	// over those starved passes — the integral of the starvation that
-	// QueueStarved counts events of.
+	// IdleSlots sums the unfilled slots over the starved passes — the
+	// integral of the starvation that QueueStarved counts events of.
+	// One pass adds at most AsyncDepth in Async mode and at most
+	// Workers in barrier mode.
 	IdleSlots int
 }
 
@@ -219,110 +225,3 @@ func (r *Result) Speedup() float64 {
 // ErrNoEvaluations is returned when the session ends before any
 // configuration was evaluated.
 var ErrNoEvaluations = errors.New("core: tuning session performed no evaluations")
-
-// Tune drives the strategy against the objective until the strategy
-// converges, a budget is exhausted, StopBelow is reached, or the
-// context is cancelled. It memoises evaluations so that a lattice
-// point proposed twice (common for the snapped simplex) costs only
-// one application run.
-func Tune(ctx context.Context, sp *space.Space, strat search.Strategy, obj Objective, opt Options) (*Result, error) {
-	if opt.Async {
-		return TuneAsync(ctx, sp, strat, obj, opt)
-	}
-	if opt.Workers > 1 || (opt.Surrogate != nil && opt.Surrogate.Model != nil) {
-		// Surrogate sessions always use the parallel engine so that
-		// pruning decisions are taken round-by-round, identically for
-		// every worker count.
-		return TuneParallel(ctx, sp, strat, obj, opt)
-	}
-	applyProposalDefault(&opt)
-	res := &Result{Strategy: strat.Name(), BestValue: math.Inf(1), FirstValue: math.NaN()}
-	cache := make(map[string]float64)
-	cacheErr := make(map[string]error)
-
-	for res.Proposals < opt.MaxProposals {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		pt, ok := strat.Next()
-		if !ok {
-			res.Converged = true
-			break
-		}
-		res.Proposals++
-		key := pt.Key()
-		cfg, err := sp.Decode(pt)
-		if err != nil {
-			return res, fmt.Errorf("core: strategy %s proposed undecodable point %v: %w", strat.Name(), pt, err)
-		}
-
-		trial := Trial{Proposal: res.Proposals, Point: pt.Clone(), Config: cfg}
-		value, cached := cache[key]
-		if cached {
-			trial.Cached = true
-			trial.Value = value
-			trial.Err = cacheErr[key]
-		} else {
-			if opt.MaxRuns > 0 && res.Runs >= opt.MaxRuns {
-				break
-			}
-			res.Runs++
-			trial.Run = res.Runs
-			var v float64
-			var err error
-			hit := false
-			if opt.Cache != nil {
-				if cv, ok := opt.Cache.Lookup(pt); ok {
-					v, hit = cv, true
-					res.CacheHits++
-				} else {
-					res.CacheMisses++
-				}
-			}
-			if !hit {
-				v, err = obj(ctx, cfg)
-			}
-			if err != nil {
-				if ctx.Err() != nil {
-					return res, ctx.Err()
-				}
-				res.Failures++
-				v = math.Inf(1)
-				trial.Err = err
-				// A failed run still paid its launch and teardown.
-				res.TuningCost += opt.RunOverhead
-			} else {
-				res.TuningCost += v + opt.RunOverhead
-				if opt.Cache != nil && !hit {
-					opt.Cache.Store(pt, v)
-				}
-			}
-			value = v
-			trial.Value = v
-			cache[key] = v
-			cacheErr[key] = trial.Err
-			if math.IsNaN(res.FirstValue) {
-				res.FirstValue = v
-			}
-			if v < res.BestValue {
-				res.Best = pt.Clone()
-				res.BestConfig = cfg
-				res.BestValue = v
-				res.BestAtRun = res.Runs
-			}
-			if opt.Logf != nil {
-				opt.Logf("run %3d (proposal %3d): %s -> %.6g", res.Runs, res.Proposals, cfg.Format(), v)
-			}
-		}
-		res.Trials = append(res.Trials, trial)
-		strat.Report(pt, value)
-
-		if opt.StopBelow != 0 && res.BestValue <= opt.StopBelow {
-			break
-		}
-	}
-	if res.Runs == 0 {
-		return res, ErrNoEvaluations
-	}
-	return res, nil
-}

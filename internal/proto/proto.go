@@ -304,11 +304,44 @@ func parseNonFinite(s string) (float64, error) {
 	return 0, fmt.Errorf("proto: bad perf_text %q", s)
 }
 
+// ErrLineTooLong is returned by Recv when a JSON message line is
+// longer than MaxFrame, the bound binary frames already obey. The
+// rest of the line is left unread, so the connection is unusable
+// afterwards.
+var ErrLineTooLong = errors.New("message line exceeds MaxFrame")
+
+// readLine returns the next newline-terminated line, or the bytes
+// before EOF together with the read error. It fails with
+// ErrLineTooLong as soon as the line outgrows MaxFrame, so an
+// untrusted peer can make it buffer at most MaxFrame bytes plus one
+// read buffer. A line that fits the read buffer is returned without a
+// copy and is valid only until the next read.
+func (c *Conn) readLine() ([]byte, error) {
+	var line []byte
+	for {
+		frag, err := c.r.ReadSlice('\n')
+		if len(line)+len(frag) > MaxFrame+1 { // +1: the newline
+			return nil, fmt.Errorf("proto: read: %w", ErrLineTooLong)
+		}
+		if err != bufio.ErrBufferFull {
+			if line == nil {
+				return frag, err
+			}
+			return append(line, frag...), err
+		}
+		line = append(line, frag...)
+	}
+}
+
 // Recv reads one message. It returns io.EOF when the peer closed the
-// connection cleanly.
+// connection cleanly, and an error wrapping ErrLineTooLong for a line
+// longer than MaxFrame.
 func (c *Conn) Recv() (*Message, error) {
-	line, err := c.r.ReadBytes('\n')
+	line, err := c.readLine()
 	if err != nil {
+		if errors.Is(err, ErrLineTooLong) {
+			return nil, err
+		}
 		if err == io.EOF && len(line) == 0 {
 			return nil, io.EOF
 		}

@@ -1,6 +1,7 @@
 package proto
 
 import (
+	"errors"
 	"io"
 	"net"
 	"strings"
@@ -129,6 +130,47 @@ func TestConnRejectsMalformed(t *testing.T) {
 	c = NewConn(rwcloser{strings.NewReader("{}\n"), io.Discard})
 	if _, err := c.Recv(); err == nil {
 		t.Error("expected error for missing type")
+	}
+}
+
+// endless is a peer that sends one JSON line that never ends, and
+// counts how much of it the reader consumed.
+type endless struct{ read int }
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	e.read += len(p)
+	return len(p), nil
+}
+
+// TestConnRecvBoundsLineLength verifies that a JSON line longer than
+// MaxFrame is rejected after reading little more than MaxFrame bytes,
+// while a well-formed line of a few kilobytes, longer than the read
+// buffer, still decodes.
+func TestConnRecvBoundsLineLength(t *testing.T) {
+	peer := &endless{}
+	c := NewConn(rwcloser{io.MultiReader(strings.NewReader(`{"type":"fetch","app":"`), peer), io.Discard})
+	_, err := c.Recv()
+	if !errors.Is(err, ErrLineTooLong) {
+		t.Fatalf("oversized line: err = %v, want ErrLineTooLong", err)
+	}
+	if limit := MaxFrame + 64<<10; peer.read > limit {
+		t.Fatalf("reader consumed %d bytes of an oversized line, want at most %d", peer.read, limit)
+	}
+
+	app := strings.Repeat("a", 10000)
+	c = NewConn(rwcloser{strings.NewReader(`{"type":"fetch","app":"` + app + "\"}\n" + `{"type":"done"}` + "\n"), io.Discard})
+	m, err := c.Recv()
+	if err != nil || m.Type != TypeFetch || m.App != app {
+		t.Fatalf("long valid line: got %+v, %v", m, err)
+	}
+	if m, err = c.Recv(); err != nil || m.Type != TypeDone {
+		t.Fatalf("line after the long one: got %+v, %v", m, err)
+	}
+	if _, err := c.Recv(); err != io.EOF {
+		t.Fatalf("after the last line: err = %v, want io.EOF", err)
 	}
 }
 

@@ -50,8 +50,8 @@ type AsyncStrategy interface {
 // BatchStrategy view: Ask hands out the points of the current round
 // one at a time, stalls once the round is fully issued, and the
 // adapter fires one ReportBatch for the whole round when its last
-// value commits — exactly the strategy interaction the round-barrier
-// engine performs, which is what keeps the two engines' campaign
+// value commits — exactly the strategy interaction core.Tune's
+// barrier mode performs, which is what keeps the two engines' campaign
 // fingerprints interchangeable.
 func AsAsync(strat Strategy) AsyncStrategy {
 	if as, ok := strat.(AsyncStrategy); ok {

@@ -21,7 +21,7 @@ func (r *recordingBatch) ReportBatch(pts []space.Point, values []float64) {
 // hands out the current round one point at a time, stalls once the
 // round is fully issued, and delivers exactly one full-round
 // ReportBatch when the last value commits — the same strategy
-// interaction the round-barrier engine performs.
+// interaction core.Tune performs in barrier mode.
 func TestAsAsyncRoundBuffering(t *testing.T) {
 	sp := space.MustNew(space.IntParam("x", 0, 99, 1))
 	rec := &recordingBatch{BatchStrategy: NewSystematic(sp, 50)}

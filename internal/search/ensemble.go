@@ -52,7 +52,8 @@ type ensembleArm struct {
 // in the total issue count.
 //
 // Ensemble implements AsyncStrategy natively and the sequential
-// Strategy facade (for the round-barrier engines); both drive the
+// Strategy facade (for core.Tune's barrier mode and the server's
+// sequential sessions); both drive the
 // same member state machines. It is engine-locked like every other
 // strategy in this package, and fully deterministic: selection is
 // closed-form arithmetic with index-order tie-breaking, no random

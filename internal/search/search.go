@@ -27,7 +27,7 @@ import (
 // strategy may propose the same lattice point more than once (the
 // continuous simplex frequently snaps distinct vertices to one
 // lattice point); callers that charge per application run should
-// memoise evaluations (core.Tuner does).
+// memoise evaluations (core.Tune does).
 //
 // Next returns ok=false when the strategy has converged or exhausted
 // its space. Calling Next again without an intervening Report returns
@@ -35,11 +35,13 @@ import (
 //
 // Strategies are engine-locked: no strategy in this package is safe
 // for concurrent use, and none carries its own locking. The engines
-// that drive them — core.Tune, core.TuneParallel, and the on-line
-// server sessions — serialise every Next/Report/NextBatch/
-// ReportBatch/Best call under a single mutex, so even when objective
-// evaluations run on many workers the strategy state machine only
-// ever advances from one goroutine at a time. Callers embedding a
+// that drive them serialise every Next/Report/NextBatch/ReportBatch/
+// Ask/Commit/Best call: core.Tune makes them all from its one
+// coordinating goroutine, whichever of its two modes (round barrier
+// or pipelined) it runs in, and the on-line server sessions make them
+// under the session mutex. So even when objective evaluations run on
+// many workers the strategy state machine only ever advances from one
+// goroutine at a time. Callers embedding a
 // strategy elsewhere must uphold the same discipline.
 type Strategy interface {
 	// Name identifies the strategy in reports and logs.

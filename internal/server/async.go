@@ -17,7 +17,7 @@ import (
 // round barrier waiting for the slowest member of its round.
 //
 // Commit order is the determinism linchpin, exactly as in
-// core.TuneAsync: candidates are committed to the strategy in the
+// core.Tune's Async mode: candidates are committed to the strategy in the
 // order they were issued, whatever order their reports arrive in.
 // Out-of-order completions wait in the window until every earlier
 // candidate has completed; only drainAsyncLocked talks to the

@@ -89,6 +89,16 @@ func TestMatVecIntoMatchesMulVecProperty(t *testing.T) {
 // operand packing, kernel — performs zero heap allocations. Rank 0
 // reads the runtime's allocation counter around the measured calls;
 // GC is disabled so the sweep itself cannot disturb the count.
+//
+// The counter is process-wide, so the world runs on one P, as in
+// testing.AllocsPerRun. Every simmpi handoff parks a rank goroutine on
+// its gate channel, and parking takes a runtime sudog from the current
+// P's cache. With several Ps a rank can park on one P and wake on
+// another, which drains one P's cache into the other's; the runtime
+// then allocates a fresh sudog inside the window (a heap-profile run
+// attributes these to the gate receive in sched.park), and the test
+// failed about once in 150 runs. One P recycles every sudog through a
+// single cache.
 func TestMatVecIntoSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; allocation count is meaningless under -race")
@@ -105,6 +115,7 @@ func TestMatVecIntoSteadyStateZeroAllocs(t *testing.T) {
 		xg[i] = math.Sin(float64(i) * 0.3)
 	}
 
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var mallocs uint64
 	_, err = simmpi.Run(distTestMachine(p, 1), p, func(r *simmpi.Rank) {
