@@ -426,11 +426,21 @@ func BenchmarkDistMatVec(b *testing.B) {
 }
 
 // BenchmarkGS2MoveMatrix measures the redistribution-plan
-// computation.
+// computation: the (x,y)-local transpose of the default layout and
+// the collision transpose of yxels, each at 4, 64 and 128 ranks.
 func BenchmarkGS2MoveMatrix(b *testing.B) {
 	d := gs2.DefaultConfig().Dims()
-	for i := 0; i < b.N; i++ {
-		gs2.MoveMatrix(d, "lxyes", "xyles", 64)
+	for _, c := range []struct{ home, target gs2.Layout }{
+		{"lxyes", "xyles"}, // lxyes.front("xy")
+		{"yxels", "elyxs"}, // yxels.front("le")
+	} {
+		for _, p := range []int{4, 64, 128} {
+			b.Run(fmt.Sprintf("%s-%s/p=%d", c.home, c.target, p), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					gs2.MoveMatrix(d, c.home, c.target, p)
+				}
+			})
+		}
 	}
 }
 

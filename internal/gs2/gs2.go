@@ -92,13 +92,12 @@ func (c Config) Validate() error {
 // of n elements.
 func chunkOf(n, p, i int) int { return (i+1)*n/p - i*n/p }
 
-// redist is a frozen redistribution plan: the move matrix, per-rank
-// sent/received element totals for the pack/unpack charge, and the
-// per-rank exchange byte rows at the plan's volume fraction,
-// precomputed dense so the steady-state exchange allocates nothing
-// and never touches a map.
+// redist is a frozen redistribution plan: per-rank sent/received
+// element totals for the pack/unpack charge, and the per-rank
+// exchange byte rows at the plan's volume fraction, precomputed dense
+// so the steady-state exchange allocates nothing and never touches a
+// map.
 type redist struct {
-	mat         [][]int
 	sent, recvd []int
 	totalMoved  int
 	fraction    float64
@@ -107,7 +106,7 @@ type redist struct {
 
 func newRedist(mat [][]int, fraction float64) *redist {
 	p := len(mat)
-	r := &redist{mat: mat, sent: make([]int, p), recvd: make([]int, p), fraction: fraction}
+	r := &redist{sent: make([]int, p), recvd: make([]int, p), fraction: fraction}
 	for i := 0; i < p; i++ {
 		for j, v := range mat[i] {
 			r.sent[i] += v
@@ -144,9 +143,9 @@ type plansKey struct {
 }
 
 // plansCache memoises the frozen redistribution plans per
-// configuration shape: the move matrices are already cached, but the
-// per-rank sent/received aggregation is rebuilt on every Run without
-// it. Plans are immutable after construction.
+// configuration shape; it is the package's only memo, so each move
+// matrix is walked once per plan set. Plans are immutable after
+// construction.
 var plansCache sync.Map // plansKey -> plans
 
 func (c Config) plans(p int) plans {
@@ -157,21 +156,32 @@ func (c Config) plans(p int) plans {
 	d := c.Dims()
 	// Targets preserve the home-relative order of the dimensions they
 	// localise, so a layout that already keeps them fastest (yxles
-	// and yxels for x,y) moves nothing.
-	xyTarget := c.Layout.front("xy")
-	pl := plans{
-		toXY:   newRedist(CachedMoveMatrix(d, c.Layout, xyTarget, p), 1),
-		fromXY: newRedist(CachedMoveMatrix(d, xyTarget, c.Layout, p), 1),
-	}
+	// and yxels for x,y) moves nothing. Each reverse plan moves the
+	// same elements with the two owners swapped, so its matrix is the
+	// forward one transposed.
+	xy := MoveMatrix(d, c.Layout, c.Layout.front("xy"), p)
+	pl := plans{toXY: newRedist(xy, 1), fromXY: newRedist(transpose(xy), 1)}
 	if c.Collisions {
-		leTarget := c.Layout.front("le")
-		pl.toLE = newRedist(CachedMoveMatrix(d, c.Layout, leTarget, p), collRedistFraction)
-		pl.fromLE = newRedist(CachedMoveMatrix(d, leTarget, c.Layout, p), collRedistFraction)
+		le := MoveMatrix(d, c.Layout, c.Layout.front("le"), p)
+		pl.toLE = newRedist(le, collRedistFraction)
+		pl.fromLE = newRedist(transpose(le), collRedistFraction)
 	}
 	if v, loaded := plansCache.LoadOrStore(key, pl); loaded {
 		return v.(plans) // keep the first: identical builds
 	}
 	return pl
+}
+
+// transpose returns mat with rows and columns swapped.
+func transpose(mat [][]int) [][]int {
+	t := make([][]int, len(mat))
+	for j := range t {
+		t[j] = make([]int, len(mat))
+		for i, row := range mat {
+			t[j][i] = row[j]
+		}
+	}
+	return t
 }
 
 // PlanInfo exposes one frozen redistribution plan to analytic

@@ -43,7 +43,8 @@ func TestLayoutFront(t *testing.T) {
 func TestStridesLeftmostFastest(t *testing.T) {
 	d := Dims{X: 3, Y: 5, L: 7, E: 2, S: 2}
 	s := Layout("lxyes").strides(d)
-	if s['l'] != 1 || s['x'] != 7 || s['y'] != 21 || s['e'] != 105 || s['s'] != 210 {
+	// Indexed by dimIndex: x, y, l, e, s.
+	if s != [5]int{7, 21, 1, 105, 210} {
 		t.Errorf("strides = %v", s)
 	}
 }
@@ -57,16 +58,15 @@ func bruteMatrix(d Dims, home, target Layout, p int) [][]int {
 	for i := range mat {
 		mat[i] = make([]int, p)
 	}
-	sizes := map[byte]int{'x': d.X, 'y': d.Y, 'l': d.L, 'e': d.E, 's': d.S}
-	idx := map[byte]int{}
-	letters := []byte{'x', 'y', 'l', 'e', 's'}
+	sizes := [5]int{d.X, d.Y, d.L, d.E, d.S}
+	var idx [5]int
 	var walk func(k int)
 	walk = func(k int) {
-		if k == len(letters) {
+		if k == len(idx) {
 			f1, f2 := 0, 0
-			for _, c := range letters {
-				f1 += idx[c] * hs[c]
-				f2 += idx[c] * ts[c]
+			for c, i := range idx {
+				f1 += i * hs[c]
+				f2 += i * ts[c]
 			}
 			o1 := f1 * p / n
 			o2 := f2 * p / n
@@ -75,8 +75,8 @@ func bruteMatrix(d Dims, home, target Layout, p int) [][]int {
 			}
 			return
 		}
-		for i := 0; i < sizes[letters[k]]; i++ {
-			idx[letters[k]] = i
+		for i := 0; i < sizes[k]; i++ {
+			idx[k] = i
 			walk(k + 1)
 		}
 	}
@@ -110,6 +110,47 @@ func TestMoveMatrixMatchesBruteForce(t *testing.T) {
 				want := bruteMatrix(d, home, target, p)
 				if !matricesEqual(got, want) {
 					t.Fatalf("MoveMatrix(%s->%s, p=%d) mismatch", home, target, p)
+				}
+			}
+		}
+	}
+}
+
+// permutations returns every ordering of the letters of s.
+func permutations(s string) []Layout {
+	if len(s) <= 1 {
+		return []Layout{Layout(s)}
+	}
+	var out []Layout
+	for i := range s {
+		for _, rest := range permutations(s[:i] + s[i+1:]) {
+			out = append(out, Layout(s[i:i+1])+rest)
+		}
+	}
+	return out
+}
+
+func TestMoveMatrixOdometerAllHomeLayouts(t *testing.T) {
+	// Every permutation of "xyles" as the home layout exercises every
+	// run dimension and every odometer wrap order; unit extents give
+	// runs of length one and digits that wrap on every step.
+	homes := permutations("xyles")
+	if len(homes) != 120 {
+		t.Fatalf("%d permutations, want 120", len(homes))
+	}
+	for _, d := range []Dims{
+		{X: 3, Y: 2, L: 4, E: 3, S: 2},
+		{X: 1, Y: 3, L: 2, E: 1, S: 2},
+		{X: 2, Y: 1, L: 1, E: 3, S: 1},
+	} {
+		for _, home := range homes {
+			reversed := Layout([]byte{home[4], home[3], home[2], home[1], home[0]})
+			for _, target := range []Layout{home.front("xy"), home.front("le"), reversed} {
+				for _, p := range []int{1, 2, 3, 7, 16, d.N() + 5} {
+					got := MoveMatrix(d, home, target, p)
+					if want := bruteMatrix(d, home, target, p); !matricesEqual(got, want) {
+						t.Fatalf("%+v: MoveMatrix(%s->%s, p=%d) mismatch", d, home, target, p)
+					}
 				}
 			}
 		}
@@ -304,6 +345,26 @@ func TestResolutionSpace(t *testing.T) {
 	cfg := sp.MustDecode(start)
 	if cfg.Int("negrid") != 16 || cfg.Int("ntheta") != 26 || cfg.Int("nodes") != 32 {
 		t.Errorf("start decodes to %s", cfg.Format())
+	}
+}
+
+func TestChunkOfMirrorsOwnerSplit(t *testing.T) {
+	// Known deviation, pinned: simulate charges rank i compute for
+	// chunkOf(n,p,i), a floor split, while MoveMatrix assigns owners
+	// by flat·p/n, a ceil split. The two are mirror images, so their
+	// largest chunks (the compute gate) agree.
+	for _, n := range []int{1, 10, 1000, 1001, DefaultConfig().Dims().N()} {
+		for _, p := range []int{1, 3, 7, 64, 128} {
+			owned := make([]int, p)
+			for flat := 0; flat < n; flat++ {
+				owned[flat*p/n]++
+			}
+			for i := 0; i < p; i++ {
+				if c := chunkOf(n, p, p-1-i); owned[i] != c {
+					t.Errorf("n=%d p=%d: owner %d holds %d, chunkOf(%d) = %d", n, p, i, owned[i], p-1-i, c)
+				}
+			}
+		}
 	}
 }
 

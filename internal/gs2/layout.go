@@ -20,7 +20,6 @@ package gs2
 import (
 	"fmt"
 	"strings"
-	"sync"
 )
 
 // Layout is a permutation of the dimension letters "xyles",
@@ -73,32 +72,35 @@ type Dims struct {
 // N returns the total element count.
 func (d Dims) N() int { return d.X * d.Y * d.L * d.E * d.S }
 
-func (d Dims) size(c byte) int {
+// dimIndex returns the position of dimension letter c in "xyles",
+// the index of its entry in a strides array.
+func dimIndex(c byte) int {
 	switch c {
 	case 'x':
-		return d.X
+		return 0
 	case 'y':
-		return d.Y
+		return 1
 	case 'l':
-		return d.L
+		return 2
 	case 'e':
-		return d.E
+		return 3
 	case 's':
-		return d.S
+		return 4
 	default:
 		panic(fmt.Sprintf("gs2: unknown dimension %q", string(c)))
 	}
 }
 
-// strides returns the flattened-index stride of each dimension letter
-// under the layout (leftmost fastest).
-func (l Layout) strides(d Dims) map[byte]int {
-	s := make(map[byte]int, 5)
+func (d Dims) size(c byte) int { return [5]int{d.X, d.Y, d.L, d.E, d.S}[dimIndex(c)] }
+
+// strides returns the flattened-index stride of each dimension under
+// the layout (leftmost fastest), indexed by dimIndex.
+func (l Layout) strides(d Dims) [5]int {
+	var s [5]int
 	stride := 1
 	for i := 0; i < len(l); i++ {
-		c := l[i]
-		s[c] = stride
-		stride *= d.size(c)
+		s[dimIndex(l[i])] = stride
+		stride *= d.size(l[i])
 	}
 	return s
 }
@@ -111,7 +113,9 @@ func (l Layout) strides(d Dims) map[byte]int {
 //
 // The computation walks the index space in runs along home's fastest
 // dimension; inside a run both owners are monotone step functions, so
-// each run costs O(owner changes), not O(run length).
+// each run costs O(owner changes), not O(run length). The owner
+// boundaries come from one table of rank start indices, which leaves
+// two divisions per owner change.
 func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 	if err := home.Validate(); err != nil {
 		panic(err)
@@ -131,38 +135,35 @@ func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 		return mat
 	}
 
-	runDim := home[0]
-	runLen := d.size(runDim)
-	hs := home.strides(d)
+	runLen := d.size(home[0])
 	ts := target.strides(d)
-	s2 := ts[runDim]
+	s2 := ts[dimIndex(home[0])]
 
-	// Enumerate the other four dimensions.
-	others := make([]byte, 0, 4)
-	for i := 1; i < len(home); i++ {
-		others = append(others, home[i])
+	// Odometer over the other four dimensions in home order. Run r
+	// starts at home flat index r·runLen; each digit increment moves
+	// the run's target base by that dimension's target stride, and a
+	// wrap takes the whole digit's span back.
+	var ext, tstr [4]int
+	for k := range ext {
+		ext[k] = d.size(home[k+1])
+		tstr[k] = ts[dimIndex(home[k+1])]
 	}
-	idx := [4]int{}
-	for {
-		// Flat bases of this run in both orders.
-		f1, f2 := 0, 0
-		for k, c := range others {
-			f1 += idx[k] * hs[c]
-			f2 += idx[k] * ts[c]
-		}
-		accumulateRun(mat, f1, f2, s2, runLen, p, n)
-
-		// Odometer over the other dimensions.
-		k := 0
-		for ; k < 4; k++ {
+	start := make([]int, p+1)
+	for o := range start {
+		start[o] = ceilDiv(o*n, p)
+	}
+	var idx [4]int
+	f2 := 0
+	for f1 := 0; f1 < n; f1 += runLen {
+		accumulateRun(mat, start, f1, f2, s2, runLen, p, n)
+		for k := range idx {
 			idx[k]++
-			if idx[k] < d.size(others[k]) {
+			f2 += tstr[k]
+			if idx[k] < ext[k] {
 				break
 			}
 			idx[k] = 0
-		}
-		if k == 4 {
-			break
+			f2 -= ext[k] * tstr[k]
 		}
 	}
 	return mat
@@ -170,29 +171,18 @@ func MoveMatrix(d Dims, home, target Layout, p int) [][]int {
 
 // accumulateRun distributes a run of `length` elements starting at
 // home flat index f1 (stride 1) and target flat index f2 (stride s2)
-// into mat[homeOwner][targetOwner].
-func accumulateRun(mat [][]int, f1, f2, s2, length, p, n int) {
-	k := 0
-	for k < length {
-		o1 := (f1 + k) * p / n
-		o2 := (f2 + k*s2) * p / n
-		// Next k where o1 changes: (f1+k')·p >= (o1+1)·n.
-		k1 := ceilDiv((o1+1)*n, p) - f1
-		// Next k where o2 changes: (f2+k'·s2)·p >= (o2+1)·n.
-		k2 := length
-		if s2 > 0 {
-			k2 = ceilDiv(ceilDiv((o2+1)*n, p)-f2, s2)
+// into mat[homeOwner][targetOwner]. start[o] = ceil(o·n/p) is the
+// first flat index rank o owns.
+func accumulateRun(mat [][]int, start []int, f1, f2, s2, length, p, n int) {
+	o1 := f1 * p / n
+	for k := 0; k < length; {
+		for start[o1+1] <= f1+k { // a loop: ranks own nothing when p > n
+			o1++
 		}
-		next := k1
-		if k2 < next {
-			next = k2
-		}
-		if next > length {
-			next = length
-		}
-		if next <= k { // guard against pathological stalls
-			next = k + 1
-		}
+		f := f2 + k*s2
+		o2 := f * p / n
+		// Advance to the next k where either owner changes.
+		next := min(start[o1+1]-f1, k+ceilDiv(start[o2+1]-f, s2), length)
 		if o1 != o2 {
 			mat[o1][o2] += next - k
 		}
@@ -212,27 +202,6 @@ func MovedElements(mat [][]int) int {
 		}
 	}
 	return total
-}
-
-// matrixCache memoises move matrices across runs; tuning campaigns
-// revisit the same (dims, p, layouts) combinations constantly.
-var matrixCache sync.Map // cacheKey -> [][]int
-
-type cacheKey struct {
-	d            Dims
-	home, target Layout
-	p            int
-}
-
-// CachedMoveMatrix is MoveMatrix with memoisation.
-func CachedMoveMatrix(d Dims, home, target Layout, p int) [][]int {
-	key := cacheKey{d: d, home: home, target: target, p: p}
-	if v, ok := matrixCache.Load(key); ok {
-		return v.([][]int)
-	}
-	mat := MoveMatrix(d, home, target, p)
-	matrixCache.Store(key, mat)
-	return mat
 }
 
 // ChunkSize returns the largest per-rank element count of a

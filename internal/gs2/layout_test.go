@@ -1,6 +1,7 @@
 package gs2
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -70,16 +71,43 @@ func TestFrontIdempotent(t *testing.T) {
 	}
 }
 
-func TestCachedMoveMatrixSameResult(t *testing.T) {
-	d := Dims{X: 5, Y: 5, L: 5, E: 4, S: 2}
-	a := CachedMoveMatrix(d, "lxyes", "xyles", 7)
-	b := CachedMoveMatrix(d, "lxyes", "xyles", 7)
-	if &a[0] != &b[0] {
-		t.Error("cache miss on identical key")
+func TestPlansReverseByTransposition(t *testing.T) {
+	// The reverse plans are built by transposing the forward move
+	// matrix; they must equal a fresh walk of the reverse
+	// redistribution, and a second build must hit the plan cache. At
+	// the default resolution every (x,y) move matrix is symmetric, so
+	// a second resolution checks the transposition itself.
+	same := func(a, b *redist) bool {
+		return a.totalMoved == b.totalMoved && a.fraction == b.fraction &&
+			slices.Equal(a.sent, b.sent) && slices.Equal(a.recvd, b.recvd) &&
+			matricesEqual(a.sendBytes, b.sendBytes)
 	}
-	c := MoveMatrix(d, "lxyes", "xyles", 7)
-	if !matricesEqual(a, c) {
-		t.Error("cached matrix differs from fresh computation")
+	for _, res := range [][2]int{{16, 26}, {10, 22}} {
+		for _, l := range Layouts() {
+			for _, coll := range []bool{false, true} {
+				cfg := DefaultConfig()
+				cfg.Negrid, cfg.Ntheta = res[0], res[1]
+				cfg.Layout, cfg.Collisions = l, coll
+				d := cfg.Dims()
+				for _, p := range []int{1, 3, 7, 16, 128} {
+					pl := cfg.plans(p)
+					if want := newRedist(MoveMatrix(d, l.front("xy"), l, p), 1); !same(pl.fromXY, want) {
+						t.Errorf("%v %s coll=%v p=%d: fromXY differs from the reverse walk", res, l, coll, p)
+					}
+					if coll {
+						want := newRedist(MoveMatrix(d, l.front("le"), l, p), collRedistFraction)
+						if !same(pl.fromLE, want) {
+							t.Errorf("%v %s p=%d: fromLE differs from the reverse walk", res, l, p)
+						}
+					}
+					again := cfg.plans(p)
+					if again.toXY != pl.toXY || again.fromXY != pl.fromXY ||
+						again.toLE != pl.toLE || again.fromLE != pl.fromLE {
+						t.Errorf("%v %s coll=%v p=%d: second plans call rebuilt the plans", res, l, coll, p)
+					}
+				}
+			}
+		}
 	}
 }
 
