@@ -16,15 +16,7 @@ import (
 // newAsyncSession builds a session in async dispatch mode directly,
 // bypassing the wire protocol, for unit tests of the window logic.
 func newAsyncSession(strat search.Strategy, depth, maxRuns int) *session {
-	sp := testSpace()
-	ss := &session{
-		id: "s1", space: sp, strategy: strat,
-		reporters: 1, maxRuns: maxRuns,
-		async: true, asyncDepth: depth,
-		asyncStrat: search.AsAsync(strat),
-		asyncTags:  make(map[int]*asyncTag),
-	}
-	return ss
+	return newSession("s1", &proto.Message{MaxRuns: maxRuns, Async: true, AsyncDepth: depth}, testSpace(), strat, 0)
 }
 
 // TestAsyncFanoutDistinctConfigs verifies an async session hands
@@ -158,13 +150,8 @@ func TestAsyncCommitOrderIndependentOfReportOrder(t *testing.T) {
 	sp := testSpace()
 	pts := []space.Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
 	rec := &asyncRecorder{points: pts}
-	ss := &session{
-		id: "s1", space: sp, strategy: search.NewSystematic(sp, 4),
-		reporters: 1, maxRuns: 10,
-		async: true, asyncDepth: 4,
-		asyncStrat: rec,
-		asyncTags:  make(map[int]*asyncTag),
-	}
+	ss := newSession("s1", &proto.Message{MaxRuns: 10, Async: true, AsyncDepth: 4}, sp, search.NewSystematic(sp, 4), 0)
+	ss.strategy = rec
 
 	var tags []int
 	for i := 0; i < 4; i++ {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"harmony/internal/proto"
+	"harmony/internal/search"
 	"harmony/internal/space"
 )
 
@@ -116,8 +117,8 @@ func (b *scriptedBatch) ReportBatch(pts []space.Point, values []float64) {
 }
 
 // TestUndecodableProposalForfeited is the regression test for the
-// round-wedge bug: fetchParallelLocked used to return a decode error
-// without issuing a tag, and since expireRoundLocked only walks issued
+// round-wedge bug: the fan-out fetch used to return a decode error
+// without issuing a tag, and since the round expiry only walked issued
 // tags, the round could never complete or expire — the session was
 // wedged forever even with ReportTimeout set. The fix forfeits the
 // undecodable position immediately.
@@ -128,7 +129,7 @@ func TestUndecodableProposalForfeited(t *testing.T) {
 		{bad, sp.Center()},
 		{sp.Clamp(space.Point{1, 1})},
 	}}
-	ss := &session{id: "s1", space: sp, strategy: strat, parallel: true, batch: strat, reporters: 1}
+	ss := newSession("s1", &proto.Message{Parallel: true}, sp, strat, 0)
 
 	// The first fetch must skip the undecodable position and hand out
 	// the round's good proposal instead of erroring and wedging.
@@ -169,7 +170,7 @@ func TestFullyUndecodableRoundSkipped(t *testing.T) {
 		{bad, bad.Clone()},
 		{sp.Center()},
 	}}
-	ss := &session{id: "s1", space: sp, strategy: strat, parallel: true, batch: strat, reporters: 1}
+	ss := newSession("s1", &proto.Message{Parallel: true}, sp, strat, 0)
 
 	r := ss.fetch(nil)
 	if r.Type != proto.TypeConfig || r.Converged {
@@ -249,5 +250,126 @@ func TestLeaseStillCollectsAbandonedInFlight(t *testing.T) {
 	clk.Advance(7 * time.Minute)
 	if n := s.ExpireNow(); n != 1 {
 		t.Fatalf("ExpireNow collected %d abandoned sessions, want 1", n)
+	}
+}
+
+// TestSharedLastBudgetedConfigServedToEveryRank is the regression test
+// for the last configuration of a budgeted shared session: the budget
+// used to be checked before the outstanding configuration was
+// re-served, so the second rank's fetch of the final generation was
+// answered Converged with an older configuration, and that rank's
+// Gen-0 report was then credited to the final one.
+func TestSharedLastBudgetedConfigServedToEveryRank(t *testing.T) {
+	s := newFaultServer(newFakeClock())
+	id := mustRegister(t, s, &proto.Message{
+		Strategy: proto.StrategyRandom, Seed: 1, MaxRuns: 2, Reporters: 2,
+		Space: proto.EncodeSpace(testSpace()),
+	})
+	fetch := func() *proto.Message {
+		return s.dispatch(&proto.Message{Type: proto.TypeFetch, Session: id})
+	}
+	for gen := 1; gen <= 2; gen++ {
+		rank0, rank1 := fetch(), fetch()
+		if rank0.Type != proto.TypeConfig || rank0.Converged || rank0.Gen != gen {
+			t.Fatalf("gen %d: rank 0 fetch %+v", gen, rank0)
+		}
+		if rank1.Type != proto.TypeConfig || rank1.Converged || rank1.Gen != gen ||
+			rank1.Values["x"] != rank0.Values["x"] || rank1.Values["y"] != rank0.Values["y"] {
+			t.Fatalf("gen %d: rank 1 fetch %+v, want rank 0's %+v", gen, rank1, rank0)
+		}
+		for _, r := range []*proto.Message{rank0, rank1} {
+			if rep := s.dispatch(&proto.Message{Type: proto.TypeReport, Session: id, Gen: r.Gen, Perf: objective(r.Values)}); rep.Type != proto.TypeOK {
+				t.Fatalf("gen %d: report %+v", gen, rep)
+			}
+		}
+	}
+	if st := s.Stats(); st.ReportsAccepted != 4 || st.ReportsDroppedStale != 0 {
+		t.Fatalf("accepted %d, stale %d: want all 4 reports credited to their generations", st.ReportsAccepted, st.ReportsDroppedStale)
+	}
+	if r := fetch(); r.Type != proto.TypeConfig || !r.Converged {
+		t.Fatalf("fetch past the budget: %+v, want converged", r)
+	}
+}
+
+// holdingScript is a scriptedStrategy that honours the Strategy
+// contract's pending rule: Next re-proposes its outstanding point
+// until that point is reported.
+type holdingScript struct {
+	scriptedStrategy
+	pending space.Point
+}
+
+func (h *holdingScript) Next() (space.Point, bool) {
+	if h.pending == nil {
+		pt, ok := h.scriptedStrategy.Next()
+		if !ok {
+			return nil, false
+		}
+		h.pending = pt
+	}
+	return h.pending.Clone(), true
+}
+
+func (h *holdingScript) Report(pt space.Point, v float64) {
+	h.pending = nil
+	h.scriptedStrategy.Report(pt, v)
+}
+
+// TestUndecodableProposalForfeitedUncharged pins one rule for every
+// dispatch mode: a proposal that cannot be decoded is forfeited at the
+// penalty value without being charged a run, and the fetch moves on.
+// Parallel and Async sessions used to charge the bad point, so a
+// budget of two converged before the third point ran; a sequential
+// session charged nothing but answered an error on every fetch while
+// its strategy held the bad point pending.
+func TestUndecodableProposalForfeitedUncharged(t *testing.T) {
+	for _, mode := range []struct {
+		name string
+		reg  proto.Message
+	}{
+		{"sequential", proto.Message{MaxRuns: 2}},
+		{"parallel", proto.Message{MaxRuns: 2, Parallel: true}},
+		{"async", proto.Message{MaxRuns: 2, Async: true}},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			sp := testSpace()
+			bad := space.Point{99, 99} // out of range: Decode fails
+			third := sp.Clamp(space.Point{1, 1})
+			var strat search.Strategy = &scriptedBatch{rounds: [][]space.Point{{bad, sp.Center()}, {third}}}
+			if !mode.reg.Parallel && !mode.reg.Async {
+				strat = &holdingScript{scriptedStrategy: scriptedStrategy{pts: []space.Point{bad, sp.Center(), third}}}
+			}
+			ss := newSession("s1", &mode.reg, sp, strat, 0)
+
+			r1 := ss.fetch(nil)
+			if r1.Type != proto.TypeConfig || r1.Converged {
+				t.Fatalf("fetch past the undecodable point: %+v, want the next configuration", r1)
+			}
+			if got := ss.stat().proposalsForfeited.Load(); got != 1 {
+				t.Fatalf("proposalsForfeited = %d, want 1", got)
+			}
+			if ss.runs != 1 {
+				t.Fatalf("runs = %d after one hand-out, want 1: the forfeit must not be charged", ss.runs)
+			}
+			if rep := ss.report(&proto.Message{Gen: r1.Gen, Tag: r1.Tag, Perf: 4}); rep.Type != proto.TypeOK {
+				t.Fatalf("report: %+v", rep)
+			}
+			r2 := ss.fetch(nil)
+			if r2.Type != proto.TypeConfig || r2.Converged || r2.Values["x"] != "1" || r2.Values["y"] != "1" {
+				t.Fatalf("second fetch: %+v, want the third point within the budget", r2)
+			}
+			if rep := ss.report(&proto.Message{Gen: r2.Gen, Tag: r2.Tag, Perf: 9}); rep.Type != proto.TypeOK {
+				t.Fatalf("report 2: %+v", rep)
+			}
+			if ss.runs != 2 {
+				t.Fatalf("runs = %d, want the 2 handed-out configurations", ss.runs)
+			}
+			if r := ss.fetch(nil); !r.Converged {
+				t.Fatalf("fetch past the budget: %+v, want converged", r)
+			}
+			if best := ss.best(nil); best.Type != proto.TypeBestReply || best.Perf != 4 {
+				t.Fatalf("best = %+v, want 4 (the penalty must not win)", best)
+			}
+		})
 	}
 }

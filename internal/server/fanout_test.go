@@ -110,12 +110,7 @@ func TestParallelFanoutDistinctConfigs(t *testing.T) {
 // tagged reports are acknowledged without corrupting the round.
 func TestParallelFanoutStaleReportsDropped(t *testing.T) {
 	sp := testSpace()
-	ss := &session{
-		id: "s1", space: sp,
-		strategy:  search.NewRandom(sp, 3, 50),
-		reporters: 1, parallel: true, maxRuns: 50,
-	}
-	ss.batch = search.AsBatch(ss.strategy)
+	ss := newSession("s1", &proto.Message{Parallel: true, MaxRuns: 50}, sp, search.NewRandom(sp, 3, 50), 0)
 
 	first := ss.fetch(nil)
 	if first.Type != proto.TypeConfig {
@@ -135,14 +130,14 @@ func TestParallelFanoutStaleReportsDropped(t *testing.T) {
 	}
 	// Finish the round with genuine values no better than 5, so the
 	// round reaches the strategy and 5 should be the incumbent best.
-	for i := 0; ss.round != nil && i < 100; i++ {
+	for i := 0; len(ss.window) > 0 && i < 100; i++ {
 		reply := ss.fetch(nil)
 		if reply.Type != proto.TypeConfig {
 			t.Fatalf("fetch reply %q", reply.Type)
 		}
 		ss.report(&proto.Message{Tag: reply.Tag, Perf: 50})
 	}
-	if ss.round != nil {
+	if len(ss.window) > 0 {
 		t.Fatal("round never completed")
 	}
 	// The bogus -1e9 reports must not have reached the strategy.
@@ -161,14 +156,9 @@ func TestParallelFanoutStaleReportsDropped(t *testing.T) {
 func TestParallelFanoutPRONearBudget(t *testing.T) {
 	sp := testSpace() // dims=2, so PRO's population is 4
 	strat := search.NewPRO(sp, search.PROOptions{Seed: 5})
-	ss := &session{
-		id: "s1", space: sp, strategy: strat,
-		reporters: 1, parallel: true,
-		// Init round costs 4; the reflected round of 3 must be
-		// truncated to the remaining budget of 2.
-		maxRuns: 6,
-	}
-	ss.batch = search.AsBatch(strat)
+	// Init round costs 4; the reflected round of 3 must be truncated
+	// to the remaining budget of 2.
+	ss := newSession("s1", &proto.Message{Parallel: true, MaxRuns: 6}, sp, strat, 0)
 
 	reported := 0
 	bestSeen := math.Inf(1)
@@ -212,12 +202,7 @@ func TestParallelFanoutPRONearBudget(t *testing.T) {
 // hands out more distinct proposals than max_runs.
 func TestParallelFanoutHonoursMaxRuns(t *testing.T) {
 	sp := testSpace()
-	ss := &session{
-		id: "s1", space: sp,
-		strategy:  search.NewRandom(sp, 9, 500),
-		reporters: 1, parallel: true, maxRuns: 7,
-	}
-	ss.batch = search.AsBatch(ss.strategy)
+	ss := newSession("s1", &proto.Message{Parallel: true, MaxRuns: 7}, sp, search.NewRandom(sp, 9, 500), 0)
 
 	distinct := make(map[string]bool)
 	for i := 0; i < 100; i++ {

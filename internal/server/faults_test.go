@@ -395,16 +395,22 @@ func TestDecodeFailureDoesNotChargeRun(t *testing.T) {
 		sp.Center(),                 // good
 		sp.Clamp(space.Point{1, 1}), // good
 	}}
-	ss := &session{id: "s1", space: sp, strategy: strat, reporters: 1, maxRuns: 2}
+	ss := newSession("s1", &proto.Message{MaxRuns: 2}, sp, strat, 0)
 
-	if r := ss.fetch(nil); r.Type != proto.TypeError {
-		t.Fatalf("fetch of undecodable point: %+v, want error", r)
+	// The undecodable point is forfeited at the penalty value, uncharged,
+	// and the same fetch hands out the next configuration.
+	first := ss.fetch(nil)
+	if first.Type != proto.TypeConfig || first.Converged || ss.stat().proposalsForfeited.Load() != 1 {
+		t.Fatalf("fetch of undecodable point: %+v, want it forfeited and the next configuration", first)
 	}
-	if ss.runs != 0 {
-		t.Fatalf("runs = %d after failed fetch, want 0: decode failures must not be charged", ss.runs)
+	if ss.runs != 1 {
+		t.Fatalf("runs = %d after the forfeit and one hand-out, want 1: decode failures must not be charged", ss.runs)
 	}
 	for i := 0; i < 2; i++ {
-		r := ss.fetch(nil)
+		r := first
+		if i > 0 {
+			r = ss.fetch(nil)
+		}
 		if r.Type != proto.TypeConfig || r.Converged {
 			t.Fatalf("fetch %d: %+v", i, r)
 		}

@@ -2,19 +2,31 @@
 // Adaptation Controller behind the on-line tuning protocol.
 //
 // Applications register a parameter space, then fetch configurations
-// and report measured performance while they run. One session may be
-// shared by several clients (for example one per node of a parallel
-// job); the server hands every client the same configuration and
-// advances the search only when all expected reports for that
-// configuration have arrived, aggregating them by taking the worst
-// (a parallel application moves at the speed of its slowest rank).
+// and report measured performance while they run. Every session runs
+// one dispatch state machine, a window of candidates drawn from its
+// strategy (see window.go); the registration only chooses the
+// window's shape:
 //
-// A session registered with Parallel instead fans the independent
-// proposals of one search round — the whole PRO trial population, a
-// stride of a sampler's stream — out to concurrent clients: each
-// fetch receives its own tagged configuration and the search advances
-// when the whole round is reported, which is how the paper's PRO
-// algorithm exploits many tuning clients at once.
+//   - By default a session is shared by several clients (for example
+//     one per node of a parallel job): a window of one, whose
+//     configuration every client receives under the same generation.
+//     The search advances only when all expected reports have arrived,
+//     aggregated by taking the worst (a parallel application moves at
+//     the speed of its slowest rank).
+//   - A session registered with Parallel fans the independent
+//     proposals of one search round — the whole PRO trial population, a
+//     stride of a sampler's stream — out to concurrent clients: the
+//     window holds the round, each fetch receives its own tagged
+//     configuration, and the search advances when the whole round is
+//     reported, which is how the paper's PRO algorithm exploits many
+//     tuning clients at once.
+//   - A session registered with Async pipelines: the window holds up to
+//     AsyncDepth candidates handed out under their own tags, and a
+//     completed candidate commits as soon as every earlier one has, so
+//     a fast client is never parked behind a round barrier.
+//
+// In every shape a configuration needs Reporters reports, and the
+// slowest of them counts.
 //
 // # Fault model
 //
@@ -22,7 +34,7 @@
 // point, and degrades the search rather than wedging it:
 //
 //   - Every shared configuration carries a generation (proto.Gen) and
-//     every parallel proposal a tag; a report for a retired
+//     every distinct hand-out a tag; a report for a retired
 //     generation or tag is acknowledged and dropped, never credited
 //     to the wrong measurement.
 //   - Sessions are leased: when SessionTimeout is set, a session
@@ -30,7 +42,7 @@
 //   - Outstanding work has a straggler deadline: when ReportTimeout
 //     is set, an overdue proposal is re-issued to the next fetch (up
 //     to MaxReissues times) and then forfeited with a +Inf penalty so
-//     the round always completes.
+//     the window always drains.
 //
 // Deadlines are evaluated lazily against the injected Clock whenever
 // a message for the session arrives (or eagerly via ExpireNow), so
@@ -153,12 +165,16 @@ type Server struct {
 }
 
 type session struct {
-	mu       sync.Mutex
-	id       string
-	num      int64 // numeric part of id: deadline-queue tie-break
-	app      string
-	space    *space.Space
-	strategy search.Strategy
+	mu    sync.Mutex
+	id    string
+	num   int64 // numeric part of id: deadline-queue tie-break
+	app   string
+	space *space.Space
+
+	// strategy is the session's only handle on its search strategy.
+	// Strategies are engine-locked and carry no locking of their own:
+	// every call is made under mu.
+	strategy search.AsyncStrategy
 
 	// Fault-tolerance plumbing, copied from the server at register
 	// time. clock nil means time.Now; stats nil (sessions built
@@ -169,41 +185,24 @@ type session struct {
 	stats         *counters
 	lastActive    time.Time // lease bookkeeping, guarded by mu
 
-	pending         space.Point // configuration currently being measured
-	gen             int         // generation of pending; stamped on config replies
-	pendingSince    time.Time   // when pending was first handed out
-	pendingExpiries int         // straggler deadlines missed by pending
-	reports         []float64   // reports received for pending
-	reporters       int         // reports needed before advancing
-	converged       bool
-	runs            int
-	maxRuns         int
+	reporters int // reports needed before an entry completes
+	converged bool
+	exhausted bool // run budget spent: the window drains, no new issues
+	runs      int
+	maxRuns   int
 
-	// Parallel fan-out state. When parallel is set the session pulls
-	// whole rounds from batch (the strategy's BatchStrategy view) and
-	// hands distinct proposals of the round to concurrent clients,
-	// keyed by tag; the search advances when every proposal of the
-	// round has all its reports. All strategy calls stay under mu —
-	// strategies are engine-locked and carry no locking of their own.
-	parallel bool
-	batch    search.BatchStrategy
-	round    *fanoutRound
-	nextTag  int
+	// The window's shape, fixed at registration (see window.go).
+	depth  int  // entries the window may hold; 0: one whole round
+	shared bool // every fetch gets the head entry under its generation
+	async  bool // candidates are asked and committed one at a time
 
-	// Async pipelined dispatch state (see async.go). When async is
-	// set the session pulls candidates from asyncStrat one at a time
-	// into a window of at most asyncDepth and hands distinct
-	// candidates to concurrent clients; completed candidates commit
-	// to the strategy strictly in issue (seq) order, so the sequence
-	// the strategy observes never depends on client timing. All
-	// strategy calls stay under mu, as in parallel mode.
-	async          bool
-	asyncStrat     search.AsyncStrategy
-	asyncDepth     int
-	asyncSeq       int
-	asyncWindow    []*asyncIssue
-	asyncTags      map[int]*asyncTag
-	asyncExhausted bool // run budget hit; window drains, no new issues
+	// The window itself. window holds the issued, uncommitted entries
+	// in issue order; tags maps each live hand-out — a distinct tag, or
+	// a shared entry's generation — to its entry and deadline base.
+	// nextTag numbers the hand-outs.
+	window  []*entry
+	tags    map[int]*handout
+	nextTag int
 
 	// cache is the session's view of the server's evaluation cache,
 	// bound to (app, machine, namespace, space) at register time; nil
@@ -215,7 +214,7 @@ type session struct {
 	// value and never charged to runs, so the strategy's own best may
 	// hold a prediction; measuredPt/measuredVal shadow the best
 	// genuinely measured configuration, and best replies use the
-	// shadow. surPrunes caps how many proposals a sequential session
+	// shadow. surPrunes caps how many proposals a per-candidate session
 	// may prune (an adversarial model must not spin fetch forever).
 	surGate     *core.SurrogateGate
 	surPrunes   int
@@ -230,74 +229,35 @@ type session struct {
 	stragglerArmed bool
 }
 
-// tagIssue records one handed-out proposal of a parallel round.
-type tagIssue struct {
-	pos    int       // proposal position within the round
-	issued time.Time // when it was handed out (straggler deadline base)
-}
-
-// fanoutRound tracks one in-flight batch of a parallel session.
-//
-// Measured and predicted values live in separate slices: worst only
-// ever holds genuine measurements (reports, cache hits, forfeit
-// penalties), while surrogate predictions for pruned proposals sit in
-// pred. They meet only in deliveryValues, at the strategy boundary —
-// the one channel predictions are designed to flow through. Keeping
-// the slices apart is what lets prunepurity prove mechanically that
-// no prediction can leak into the evaluation cache, the measured-best
-// shadow, or run accounting through this struct.
-type fanoutRound struct {
-	pts      []space.Point
-	assigned []int             // times each proposal has been handed out
-	count    []int             // reports received per proposal
-	worst    []float64         // worst measured report per proposal (slowest rank gates)
-	pred     []float64         // surrogate-predicted value per pruned proposal
-	pruned   []bool            // proposal answered by the model, never simulated
-	expiries []int             // straggler deadlines missed per proposal
-	tags     map[int]*tagIssue // outstanding tag -> issue record
-	complete int               // proposals with all reports in
-}
-
-func newFanoutRound(pts []space.Point) *fanoutRound {
-	r := &fanoutRound{
-		pts:      pts,
-		assigned: make([]int, len(pts)),
-		count:    make([]int, len(pts)),
-		worst:    make([]float64, len(pts)),
-		pred:     make([]float64, len(pts)),
-		pruned:   make([]bool, len(pts)),
-		expiries: make([]int, len(pts)),
-		tags:     make(map[int]*tagIssue),
+// newSession builds a session for a registration: id and space are
+// the session's, strat is the strategy built for it, and asyncDepth is
+// the server's default window depth for Async sessions that choose
+// none. Async wins when both dispatch modes are requested: the
+// pipelined window subsumes round fan-out.
+func newSession(id string, msg *proto.Message, sp *space.Space, strat search.Strategy, asyncDepth int) *session {
+	ss := &session{
+		id: id, app: msg.App, space: sp,
+		reporters: max(msg.Reporters, 1), maxRuns: msg.MaxRuns,
+		tags: make(map[int]*handout),
 	}
-	for i := range r.worst {
-		r.worst[i] = math.Inf(-1)
-	}
-	return r
-}
-
-// deliveryValues returns the per-proposal values handed to the
-// strategy: measurements, with the model's predicted value
-// substituted at pruned positions. The merge happens in a fresh slice
-// so worst itself never holds a prediction.
-func (r *fanoutRound) deliveryValues() []float64 {
-	anyPruned := false
-	for _, p := range r.pruned {
-		if p {
-			anyPruned = true
-			break
+	switch {
+	case msg.Async:
+		ss.async = true
+		ss.strategy = search.AsAsync(strat)
+		ss.depth = msg.AsyncDepth
+		if ss.depth <= 0 {
+			ss.depth = asyncDepth
 		}
-	}
-	if !anyPruned {
-		return r.worst
-	}
-	vals := make([]float64, len(r.worst))
-	copy(vals, r.worst)
-	for i, p := range r.pruned {
-		if p {
-			vals[i] = r.pred[i]
+		if ss.depth <= 0 {
+			ss.depth = core.DefaultAsyncDepth
 		}
+	case msg.Parallel:
+		ss.strategy = search.AsAsync(&roundFeed{Strategy: strat, batch: search.AsBatch(strat), ss: ss})
+	default:
+		ss.depth, ss.shared = 1, true
+		ss.strategy = search.AsAsync(&roundFeed{Strategy: strat, ss: ss})
 	}
-	return vals
+	return ss
 }
 
 // New constructs a server with no sessions.
@@ -538,7 +498,7 @@ func (s *Server) expireOneShard(sh *shard, ss *session, now time.Time) (bool, ti
 		}
 	}
 	ss.mu.Lock()
-	ss.expireStragglersLocked(now)
+	ss.expireLocked(now)
 	ss.mu.Unlock()
 	return false, 0
 }
@@ -552,39 +512,16 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 	if err != nil {
 		return errorReply("register: %v", err)
 	}
-	reporters := msg.Reporters
-	if reporters <= 0 {
-		reporters = 1
-	}
+	num := s.nextID.Add(1)
+	id := "s" + strconv.FormatInt(num, 10)
 	now := s.now()
-	ss := &session{
-		id: "", app: msg.App, space: sp, strategy: strat,
-		reporters: reporters, maxRuns: msg.MaxRuns,
-		clock:         s.now,
-		reportTimeout: s.ReportTimeout,
-		maxReissues:   s.MaxReissues,
-		stats:         &s.stats,
-		lastActive:    now,
-	}
-	switch {
-	case msg.Async:
-		// Async wins when both dispatch modes are requested: the
-		// pipelined window subsumes round fan-out.
-		ss.async = true
-		ss.asyncStrat = search.AsAsync(strat)
-		depth := msg.AsyncDepth
-		if depth <= 0 {
-			depth = s.AsyncDepth
-		}
-		if depth <= 0 {
-			depth = core.DefaultAsyncDepth
-		}
-		ss.asyncDepth = depth
-		ss.asyncTags = make(map[int]*asyncTag)
-	case msg.Parallel:
-		ss.parallel = true
-		ss.batch = search.AsBatch(strat)
-	}
+	ss := newSession(id, msg, sp, strat, s.AsyncDepth)
+	ss.num = num
+	ss.clock = s.now
+	ss.reportTimeout = s.ReportTimeout
+	ss.maxReissues = s.MaxReissues
+	ss.stats = &s.stats
+	ss.lastActive = now
 	if s.Cache != nil {
 		ss.cache = s.Cache.BoundNS(msg.App, msg.Machine, msg.CacheNS, sp)
 	}
@@ -597,9 +534,6 @@ func (s *Server) register(msg *proto.Message) *proto.Message {
 			ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: model, Keep: keep})
 		}
 	}
-	num := s.nextID.Add(1)
-	id := "s" + strconv.FormatInt(num, 10)
-	ss.id, ss.num = id, num
 	sh := s.shardFor(id)
 	s.expireDue(sh, now)
 	sh.mu.Lock()
@@ -658,8 +592,8 @@ func (s *Server) withSession(msg *proto.Message, fn func(*session, *proto.Messag
 		return errorReply("unknown session %q", msg.Session)
 	}
 	reply := fn(ss, msg)
-	// The message may have issued new work (a pending configuration,
-	// round proposals): make sure a straggler deadline is queued.
+	// The message may have handed out new work: make sure a straggler
+	// deadline is queued.
 	s.armStraggler(sh, ss)
 	return reply
 }
@@ -718,203 +652,14 @@ func (ss *session) noteMeasuredLocked(pt space.Point, v float64) {
 	}
 }
 
-// pruneBudget caps how many sequential proposals the surrogate may
-// prune: a model that rejects everything the strategy proposes must
+// pruneBudget caps how many proposals the surrogate may prune one at
+// a time: a model that rejects everything the strategy proposes must
 // degrade to evaluation, not spin the fetch loop until convergence.
 func (ss *session) pruneBudget() int {
 	if ss.maxRuns > 0 {
 		return 10 * ss.maxRuns
 	}
 	return 10000
-}
-
-// expireStragglersLocked applies the straggler deadline to whatever
-// the session is waiting on. Shared-config sessions: an overdue
-// pending configuration with partial reports is finalised with the
-// survivors' aggregate; with no reports it is re-issued (same point,
-// same generation, fresh deadline) and, past the re-issue limit,
-// forfeited with a penalty. Parallel sessions delegate per-proposal
-// handling to expireRoundLocked.
-func (ss *session) expireStragglersLocked(now time.Time) {
-	if ss.reportTimeout <= 0 {
-		return
-	}
-	if ss.async {
-		ss.expireAsyncLocked(now)
-		return
-	}
-	if ss.parallel {
-		ss.expireRoundLocked(now)
-		return
-	}
-	if ss.pending == nil || now.Sub(ss.pendingSince) < ss.reportTimeout {
-		return
-	}
-	if len(ss.reports) > 0 {
-		// Some reporters made it, the rest are overdue: the slowest
-		// surviving rank's measurement stands in for the crashed ones
-		// so the search advances instead of waiting forever.
-		ss.finishPendingLocked()
-		ss.stat().proposalsForfeited.Add(1)
-		return
-	}
-	ss.pendingExpiries++
-	if ss.pendingExpiries <= ss.reissueLimit() {
-		ss.pendingSince = now
-		ss.stat().proposalsReissued.Add(1)
-		return
-	}
-	ss.strategy.Report(ss.pending, penaltyValue)
-	ss.pending = nil
-	ss.reports = ss.reports[:0]
-	ss.stat().proposalsForfeited.Add(1)
-}
-
-// expireRoundLocked retires overdue tags of the in-flight parallel
-// round. An expired proposal's assignment count is decremented so the
-// least-assigned logic in fetchParallelLocked re-issues it naturally;
-// past the re-issue limit the proposal is forfeited — completed with
-// the reports it has, or the penalty value if it has none — so the
-// round always finishes.
-func (ss *session) expireRoundLocked(now time.Time) {
-	r := ss.round
-	if r == nil {
-		return
-	}
-	// Visit outstanding tags in issue order, not map order: re-issue
-	// and forfeit decisions feed the strategy and the counters, and
-	// the message schedule they induce must not vary run to run.
-	tags := make([]int, 0, len(r.tags))
-	for tag := range r.tags {
-		tags = append(tags, tag)
-	}
-	sort.Ints(tags)
-	for _, tag := range tags {
-		iss := r.tags[tag]
-		if now.Sub(iss.issued) < ss.reportTimeout {
-			continue
-		}
-		delete(r.tags, tag)
-		pos := iss.pos
-		if r.count[pos] >= ss.reporters {
-			continue // proposal already complete; nothing to redo
-		}
-		if r.assigned[pos] > 0 {
-			r.assigned[pos]--
-		}
-		r.expiries[pos]++
-		if r.expiries[pos] <= ss.reissueLimit() {
-			ss.stat().proposalsReissued.Add(1)
-			continue
-		}
-		if r.worst[pos] == math.Inf(-1) {
-			r.worst[pos] = penaltyValue
-		} else {
-			// Forfeited with partial reports: the surviving ranks'
-			// aggregate is still a genuine measurement.
-			ss.noteMeasuredLocked(r.pts[pos], r.worst[pos])
-		}
-		r.count[pos] = ss.reporters
-		r.complete++
-		ss.stat().proposalsForfeited.Add(1)
-	}
-	ss.maybeRetireRoundLocked()
-}
-
-// maybeRetireRoundLocked delivers a fully reported round to the
-// strategy and clears it.
-func (ss *session) maybeRetireRoundLocked() {
-	r := ss.round
-	if r == nil || r.complete < len(r.pts) {
-		return
-	}
-	ss.batch.ReportBatch(r.pts, r.deliveryValues())
-	ss.round = nil
-	ss.stat().roundsCompleted.Add(1)
-}
-
-// fetch returns the configuration the application should use next.
-// All clients of the session receive the same configuration until
-// enough reports arrive; the reply's Gen identifies the configuration
-// generation so late reports can be matched.
-func (ss *session) fetch(*proto.Message) *proto.Message {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	now := ss.now()
-	ss.lastActive = now
-	ss.stat().fetches.Add(1)
-	ss.expireStragglersLocked(now)
-	if ss.async {
-		return ss.fetchAsyncLocked(now)
-	}
-	if ss.parallel {
-		return ss.fetchParallelLocked(now)
-	}
-	for ss.pending == nil {
-		if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
-			return ss.bestOrCurrentLocked()
-		}
-		pt, ok := ss.strategy.Next()
-		if !ok {
-			ss.converged = true
-			return ss.bestOrCurrentLocked()
-		}
-		cfg, err := ss.space.Decode(pt)
-		if err != nil {
-			// The proposal was never handed out: charge no run, so a
-			// decode failure cannot inflate run accounting or trip
-			// maxRuns early. The strategy keeps the point pending and
-			// the next fetch surfaces the same error.
-			return errorReply("fetch: %v", err)
-		}
-		if ss.cache != nil {
-			if v, ok := ss.cache.Lookup(pt); ok {
-				// Answered from the evaluation cache: the run is
-				// charged (the paper's cost model counts it), the
-				// strategy advances, and the loop pulls the next
-				// proposal without any client round-trip.
-				ss.runs++
-				ss.stat().cacheHits.Add(1)
-				ss.noteMeasuredLocked(pt, v)
-				ss.strategy.Report(pt, v)
-				continue
-			}
-			ss.stat().cacheMisses.Add(1)
-		}
-		if ss.surGate != nil {
-			if score, ok := ss.surGate.Score(pt, cfg); !ok {
-				// Outside the model's competence: evaluate it for real.
-				ss.stat().surrogateFallback.Add(1)
-			} else if !ss.surGate.Keep([]float64{score})[0] && ss.surPrunes < ss.pruneBudget() {
-				// Confidently worse than the best configuration the
-				// session committed to measure: answer the strategy at
-				// the predicted value, charge no run, and pull the next
-				// proposal without any client round-trip.
-				ss.surPrunes++
-				ss.stat().surrogatePruned.Add(1)
-				ss.strategy.Report(pt, score)
-				continue
-			} else {
-				ss.surGate.Committed(score)
-				ss.stat().surrogateKept.Add(1)
-			}
-		}
-		ss.pending = pt
-		ss.reports = ss.reports[:0]
-		ss.runs++
-		ss.gen++
-		ss.pendingSince = now
-		ss.pendingExpiries = 0
-		return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Gen: ss.gen}
-	}
-	if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
-		return ss.bestOrCurrentLocked()
-	}
-	cfg, err := ss.space.Decode(ss.pending)
-	if err != nil {
-		return errorReply("fetch: %v", err)
-	}
-	return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Gen: ss.gen}
 }
 
 // bestOrCurrentLocked replies with the best-known configuration and
@@ -939,250 +684,6 @@ func (ss *session) bestOrCurrentLocked() *proto.Message {
 		return errorReply("fetch: %v", err)
 	}
 	return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Converged: true}
-}
-
-// fetchParallelLocked hands out one proposal of the current round.
-// Distinct clients receive distinct proposals until the round is
-// covered; further fetches re-issue the least-assigned unreported
-// proposal (a fetch is never refused — a client that lost its
-// assignment to a crash re-fetches and another takes over its point).
-func (ss *session) fetchParallelLocked(now time.Time) *proto.Message {
-	for ss.round == nil {
-		if ss.converged || (ss.maxRuns > 0 && ss.runs >= ss.maxRuns) {
-			return ss.bestOrCurrentLocked()
-		}
-		batch := ss.batch.NextBatch()
-		if len(batch) == 0 {
-			ss.converged = true
-			return ss.bestOrCurrentLocked()
-		}
-		if ss.maxRuns > 0 {
-			if rem := ss.maxRuns - ss.runs; len(batch) > rem {
-				// Truncating at the budget boundary makes this the
-				// final round: after it completes, runs == maxRuns and
-				// every further fetch converges. Reporting the
-				// truncated slice is legal — BatchStrategy documents
-				// that a strict prefix of the last NextBatch may be
-				// reported, leaving the remainder unevaluated (PRO
-				// resumes the phase; the tail simply never runs).
-				batch = batch[:rem]
-			}
-		}
-		// Score the whole round up front when the session has a
-		// surrogate: pruning is a per-round quota (the same keepMask the
-		// off-line engine applies), so the decision needs every score.
-		// Any point the model declines — or cannot even decode — sends
-		// the entire round to full simulation.
-		var scores []float64
-		var keep []bool
-		if ss.surGate != nil {
-			sc := make([]float64, len(batch))
-			ok := true
-			for i, pt := range batch {
-				cfg, err := ss.space.Decode(pt)
-				if err != nil {
-					ok = false
-					break
-				}
-				if sc[i], ok = ss.surGate.Score(pt, cfg); !ok {
-					break
-				}
-			}
-			if ok {
-				scores = sc
-				keep = ss.surGate.Keep(scores)
-			} else {
-				ss.stat().surrogateFallback.Add(1)
-			}
-		}
-		ss.round = newFanoutRound(batch)
-		// Pre-fill round positions that never reach a client: cache
-		// hits (complete at their genuine past measurement, and still
-		// charged — the run-cost accounting is identical for every
-		// cache state) and surrogate prunes (complete at the model's
-		// predicted value, never charged: no simulation happens). A
-		// fully pre-filled round retires immediately and the loop pulls
-		// the next batch; the quota always keeps at least one point, so
-		// a surrogate round always charges at least one run.
-		r := ss.round
-		charged := 0
-		for i, pt := range r.pts {
-			if ss.cache != nil {
-				if v, ok := ss.cache.Lookup(pt); ok {
-					r.worst[i] = v
-					r.count[i] = ss.reporters
-					r.complete++
-					ss.stat().cacheHits.Add(1)
-					ss.noteMeasuredLocked(pt, v)
-					charged++
-					continue
-				}
-				ss.stat().cacheMisses.Add(1)
-			}
-			if keep != nil && !keep[i] {
-				r.pred[i] = scores[i]
-				r.pruned[i] = true
-				r.count[i] = ss.reporters
-				r.complete++
-				ss.stat().surrogatePruned.Add(1)
-				continue
-			}
-			if keep != nil {
-				ss.surGate.Committed(scores[i])
-				ss.stat().surrogateKept.Add(1)
-			}
-			charged++
-		}
-		ss.runs += charged
-		ss.maybeRetireRoundLocked()
-	}
-	for ss.round != nil {
-		r := ss.round
-		pos := -1
-		for i := range r.pts {
-			if r.count[i] >= ss.reporters {
-				continue
-			}
-			if pos == -1 || r.assigned[i] < r.assigned[pos] {
-				pos = i
-			}
-		}
-		if pos == -1 {
-			// Unreachable: a completed round is retired in report and in
-			// expireRoundLocked before reaching here.
-			return errorReply("fetch: session %s round already complete", ss.id)
-		}
-		cfg, err := ss.space.Decode(r.pts[pos])
-		if err != nil {
-			// An undecodable proposal can never be handed out, so no
-			// report and no straggler deadline would ever retire it:
-			// returning here without issuing a tag used to wedge the
-			// round forever. Forfeit the position immediately with the
-			// penalty value and move on to the next proposal (or the
-			// next round, once this forfeit completes it).
-			if r.worst[pos] == math.Inf(-1) {
-				r.worst[pos] = penaltyValue
-			}
-			r.count[pos] = ss.reporters
-			r.complete++
-			ss.stat().proposalsForfeited.Add(1)
-			ss.maybeRetireRoundLocked()
-			continue
-		}
-		r.assigned[pos]++
-		ss.nextTag++
-		r.tags[ss.nextTag] = &tagIssue{pos: pos, issued: now}
-		return &proto.Message{Type: proto.TypeConfig, Values: cfg.Map(), Tag: ss.nextTag}
-	}
-	// The current round was fully forfeited above: pull the next one.
-	return ss.fetchParallelLocked(now)
-}
-
-// reportParallelLocked matches a tagged report to its proposal.
-// Stale tags (a previous round, an expired issue) and surplus reports
-// are acknowledged and dropped: in a fan-out session a late straggler
-// must not corrupt the next round.
-func (ss *session) reportParallelLocked(msg *proto.Message) *proto.Message {
-	r := ss.round
-	if r == nil {
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	iss, ok := r.tags[msg.Tag]
-	if !ok {
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	delete(r.tags, msg.Tag)
-	pos := iss.pos
-	if r.count[pos] >= ss.reporters {
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	r.count[pos]++
-	ss.stat().reportsAccepted.Add(1)
-	// Sanitize at ingress: NaN compares false with everything, so an
-	// unsanitized NaN report would leave worst at its -Inf sentinel
-	// and deliver a best-ever value to the strategy when the proposal
-	// completes. A client that measured NaN measured nothing: treat
-	// it like a forfeit.
-	perf := msg.Perf
-	if math.IsNaN(perf) {
-		perf = penaltyValue
-	}
-	if perf > r.worst[pos] {
-		r.worst[pos] = perf
-	}
-	if r.count[pos] == ss.reporters {
-		r.complete++
-		// A naturally completed proposal (full reports, finite
-		// aggregate) is banked; forfeits never reach this path.
-		if ss.cache != nil && !math.IsInf(r.worst[pos], 0) {
-			ss.cache.Store(r.pts[pos], r.worst[pos])
-		}
-		ss.noteMeasuredLocked(r.pts[pos], r.worst[pos])
-	}
-	ss.maybeRetireRoundLocked()
-	return &proto.Message{Type: proto.TypeOK}
-}
-
-func (ss *session) report(msg *proto.Message) *proto.Message {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	now := ss.now()
-	ss.lastActive = now
-	ss.expireStragglersLocked(now)
-	if ss.async {
-		return ss.reportAsyncLocked(msg)
-	}
-	if ss.parallel {
-		return ss.reportParallelLocked(msg)
-	}
-	if msg.Gen != 0 && (ss.pending == nil || msg.Gen != ss.gen) {
-		// A straggler (or duplicate) reporting a configuration that
-		// was already retired: acknowledge and drop, so the value is
-		// not credited to the new pending point.
-		ss.stat().reportsDroppedStale.Add(1)
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	if ss.pending == nil {
-		return errorReply("report: no configuration outstanding for session %s", ss.id)
-	}
-	// NaN sanitization, mirroring reportParallelLocked: NaN would
-	// lose every `>` comparison in finishPendingLocked and hand the
-	// strategy the -Inf aggregate sentinel as a measurement.
-	perf := msg.Perf
-	if math.IsNaN(perf) {
-		perf = penaltyValue
-	}
-	ss.reports = append(ss.reports, perf)
-	ss.stat().reportsAccepted.Add(1)
-	if len(ss.reports) < ss.reporters {
-		return &proto.Message{Type: proto.TypeOK}
-	}
-	ss.finishPendingLocked()
-	return &proto.Message{Type: proto.TypeOK}
-}
-
-// finishPendingLocked aggregates the received reports (the slowest
-// reporter gates the parallel application) and advances the search.
-func (ss *session) finishPendingLocked() {
-	worst := math.Inf(-1)
-	for _, v := range ss.reports {
-		if v > worst {
-			worst = v
-		}
-	}
-	// Only complete, finite measurements enter the evaluation cache:
-	// a straggler-degraded aggregate (fewer reports than reporters) or
-	// a failure sentinel must not poison future sessions.
-	if ss.cache != nil && len(ss.reports) >= ss.reporters && !math.IsInf(worst, 0) {
-		ss.cache.Store(ss.pending, worst)
-	}
-	ss.noteMeasuredLocked(ss.pending, worst)
-	ss.strategy.Report(ss.pending, worst)
-	ss.pending = nil
-	ss.reports = ss.reports[:0]
 }
 
 func (ss *session) best(*proto.Message) *proto.Message {

@@ -44,7 +44,7 @@ type entryKind uint8
 
 const (
 	leaseEntry     entryKind = iota // session idle-lease expiry
-	stragglerEntry                  // overdue pending/round reports
+	stragglerEntry                  // overdue hand-outs
 )
 
 // deadlineEntry schedules one future check of one session.
@@ -201,7 +201,7 @@ func (s *Server) expireLeaseLocked(sh *shard, ss *session, now time.Time) (bool,
 // sh.mu, not ss.mu.
 func (s *Server) expireStragglerEntryLocked(sh *shard, ss *session, now time.Time) {
 	ss.mu.Lock()
-	ss.expireStragglersLocked(now)
+	ss.expireLocked(now)
 	next, outstanding := ss.stragglerDeadlineLocked()
 	ss.mu.Unlock()
 	if outstanding {
@@ -242,20 +242,8 @@ func (ss *session) stragglerDeadlineLocked() (time.Time, bool) {
 	}
 	var earliest time.Time
 	have := false
-	if ss.pending != nil {
-		earliest = ss.pendingSince.Add(ss.reportTimeout)
-		have = true
-	}
-	if ss.round != nil {
-		for _, iss := range ss.round.tags {
-			d := iss.issued.Add(ss.reportTimeout)
-			if !have || d.Before(earliest) {
-				earliest, have = d, true
-			}
-		}
-	}
-	for _, iss := range ss.asyncTags {
-		d := iss.issued.Add(ss.reportTimeout)
+	for _, h := range ss.tags {
+		d := h.issued.Add(ss.reportTimeout)
 		if !have || d.Before(earliest) {
 			earliest, have = d, true
 		}
@@ -266,29 +254,18 @@ func (ss *session) stragglerDeadlineLocked() (time.Time, bool) {
 // effectiveLastActiveLocked is the activity timestamp the session
 // lease is measured from. A client whose single evaluation
 // legitimately takes longer than the lease would otherwise lose its
-// session mid-run: an outstanding pending configuration or round
-// proposal still inside its straggler deadline counts as activity,
-// so the lease clock starts ticking only once the straggler window
-// closes (at which point re-issue/forfeit takes over). The caller
-// holds ss.mu.
+// session mid-run: an outstanding hand-out still inside its straggler
+// deadline counts as activity, so the lease clock starts ticking only
+// once the straggler window closes (at which point re-issue/forfeit
+// takes over). The caller holds ss.mu.
 func (ss *session) effectiveLastActiveLocked(now time.Time) time.Time {
 	t := ss.lastActive
 	if ss.reportTimeout <= 0 {
 		return t
 	}
 	var busyUntil time.Time
-	if ss.pending != nil {
-		busyUntil = ss.pendingSince.Add(ss.reportTimeout)
-	}
-	if ss.round != nil {
-		for _, iss := range ss.round.tags {
-			if d := iss.issued.Add(ss.reportTimeout); d.After(busyUntil) {
-				busyUntil = d
-			}
-		}
-	}
-	for _, iss := range ss.asyncTags {
-		if d := iss.issued.Add(ss.reportTimeout); d.After(busyUntil) {
+	for _, h := range ss.tags {
+		if d := h.issued.Add(ss.reportTimeout); d.After(busyUntil) {
 			busyUntil = d
 		}
 	}

@@ -135,44 +135,52 @@ func driveCampaign(t *testing.T, sess campaignSession) string {
 // over the JSON line protocol and over the binary frame protocol and
 // requires bit-identical traces: same configurations in the same
 // order, same best. The two wire formats must be representations of
-// one protocol, not two protocols.
+// one protocol, not two protocols, so the property is checked over
+// seeds 1-8 in every dispatch mode with every seeded strategy.
 func TestJSONBinaryEquivalence(t *testing.T) {
 	_, addr := startServer(t)
 
-	runJSON := func(strategy string, seed int64) string {
+	reg := func(strategy string, seed int64, mode string) client.Registration {
+		return client.Registration{
+			App: "equiv", Space: testSpace(), Strategy: strategy, Seed: seed, MaxRuns: 40,
+			Parallel: mode == "parallel", Async: mode == "async",
+		}
+	}
+	runJSON := func(r client.Registration) string {
 		c, err := client.Dial(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		sess, err := c.Register(client.Registration{
-			App: "equiv", Space: testSpace(), Strategy: strategy, Seed: seed, MaxRuns: 40,
-		})
+		sess, err := c.Register(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return driveCampaign(t, sess)
 	}
-	runBinary := func(strategy string, seed int64) string {
+	runBinary := func(r client.Registration) string {
 		m, err := client.DialMux(addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer m.Close()
-		sess, err := m.Register(client.Registration{
-			App: "equiv", Space: testSpace(), Strategy: strategy, Seed: seed, MaxRuns: 40,
-		})
+		sess, err := m.Register(r)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return driveCampaign(t, sess)
 	}
 
-	for _, strategy := range []string{proto.StrategyRandom, proto.StrategySimplex, proto.StrategyPRO} {
-		jsonTrace := runJSON(strategy, 42)
-		binTrace := runBinary(strategy, 42)
-		if jsonTrace != binTrace {
-			t.Errorf("strategy %s: JSON and binary protocol traces diverge\nJSON:\n%s\n\nbinary:\n%s", strategy, jsonTrace, binTrace)
+	for _, mode := range []string{"sequential", "parallel", "async"} {
+		for _, strategy := range []string{proto.StrategyRandom, proto.StrategySimplex, proto.StrategyPRO, proto.StrategyEnsemble} {
+			for seed := int64(1); seed <= 8; seed++ {
+				r := reg(strategy, seed, mode)
+				jsonTrace := runJSON(r)
+				binTrace := runBinary(r)
+				if jsonTrace != binTrace {
+					t.Errorf("%s %s seed %d: JSON and binary protocol traces diverge\nJSON:\n%s\n\nbinary:\n%s", mode, strategy, seed, jsonTrace, binTrace)
+				}
+			}
 		}
 	}
 }

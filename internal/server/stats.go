@@ -24,8 +24,9 @@ type Stats struct {
 	// because their generation or tag was already retired (stragglers
 	// and duplicates).
 	ReportsDroppedStale int64
-	// RoundsCompleted counts parallel fan-out rounds delivered to the
-	// search strategy.
+	// RoundsCompleted counts whole rounds delivered to the search
+	// strategy by sessions registered with Parallel; sequential and
+	// Async sessions never add to it.
 	RoundsCompleted int64
 	// ProposalsReissued counts proposals whose straggler deadline
 	// lapsed and that were made available to the next fetch again.
@@ -53,11 +54,12 @@ type Stats struct {
 	SurrogateKept      int64
 	SurrogateFallbacks int64
 	// AsyncCommitted counts candidates committed, in issue order, to
-	// the strategies of sessions running the pipelined async dispatch.
-	// QueueStarved counts fill passes where an async session's window
-	// had capacity but its strategy was stalled waiting on in-flight
-	// commits — the pipeline's analogue of an idle worker slot. Both
-	// are zero unless sessions register with the async flag.
+	// the strategies of sessions registered with Async. QueueStarved
+	// counts fill passes where such a session's window had capacity but
+	// its strategy was stalled waiting on in-flight commits — the
+	// pipeline's analogue of an idle worker slot. Every session runs
+	// the same window, but only Async registrations feed these two:
+	// both are zero unless sessions register with the async flag.
 	AsyncCommitted int64
 	QueueStarved   int64
 }

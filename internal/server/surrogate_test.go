@@ -230,14 +230,16 @@ func TestSurrogateFlagIgnoredWithoutResolver(t *testing.T) {
 func TestSurrogateBestBeforeAnyMeasurement(t *testing.T) {
 	sp := testSpace()
 	gate := core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(1)})
-	ss := &session{id: "t1", space: sp, strategy: mustStrategy(t, sp), surGate: gate}
+	strat := mustStrategy(t, sp)
+	ss := newSession("t1", &proto.Message{}, sp, strat, 0)
+	ss.surGate = gate
 	// Feed the strategy a prediction directly, as a pruned proposal would.
 	pt, err := sp.Encode(map[string]string{"x": "1", "y": "1"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss.strategy.Next()
-	ss.strategy.Report(pt, 42)
+	strat.Next()
+	strat.Report(pt, 42)
 	reply := ss.best(nil)
 	if reply.Type != proto.TypeError {
 		t.Fatalf("best before any measurement replied %+v, want error", reply)

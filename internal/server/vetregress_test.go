@@ -6,8 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"harmony/internal/core"
 	"harmony/internal/proto"
-	"harmony/internal/space"
+	"harmony/internal/search"
 )
 
 // TestExpiryLogNotUnderShardLock is the regression test for the
@@ -62,34 +63,46 @@ func TestExpiryLogNotUnderShardLock(t *testing.T) {
 }
 
 // TestFanoutRoundPredictionSeparation is the regression test for the
-// prunepurity findings in the parallel fan-out: surrogate predictions
-// for pruned proposals live in pred, never in worst, and the two only
-// meet in the fresh slice deliveryValues builds for the strategy.
+// prunepurity findings in the fan-out: a window entry keeps the
+// surrogate prediction for a pruned candidate in pred, never in worst,
+// and the two only meet in deliveryValue, at the strategy boundary.
 func TestFanoutRoundPredictionSeparation(t *testing.T) {
-	r := newFanoutRound(make([]space.Point, 3))
-	r.worst[0], r.count[0] = 7, 1
-	r.pred[1], r.pruned[1] = 42, true
-	r.worst[2], r.count[2] = 9, 1
-
-	vals := r.deliveryValues()
+	round := []*entry{
+		{worst: 7, count: 1, complete: true},
+		{worst: math.Inf(-1), pred: 42, pruned: true, complete: true},
+		{worst: 9, count: 1, complete: true},
+	}
 	want := []float64{7, 42, 9}
-	for i := range want {
-		if vals[i] != want[i] {
-			t.Errorf("deliveryValues[%d] = %v, want %v", i, vals[i], want[i])
+	for i, e := range round {
+		if v := e.deliveryValue(); v != want[i] {
+			t.Errorf("deliveryValue[%d] = %v, want %v", i, v, want[i])
 		}
 	}
-	if !math.IsInf(r.worst[1], -1) {
-		t.Errorf("worst[1] = %v, want -Inf: the prediction must never enter the measured slice", r.worst[1])
-	}
-	if &vals[0] == &r.worst[0] {
-		t.Error("deliveryValues returned the measured slice itself while holding a prediction")
+	if !math.IsInf(round[1].worst, -1) {
+		t.Errorf("worst[1] = %v, want -Inf: the prediction must never enter the measured field", round[1].worst)
 	}
 
-	// A round with nothing pruned hands the measured slice through
-	// unchanged — no copy on the pure-measurement path.
-	clean := newFanoutRound(make([]space.Point, 2))
-	clean.worst[0], clean.worst[1] = 1, 2
-	if vs := clean.deliveryValues(); &vs[0] != &clean.worst[0] {
-		t.Error("unpruned round should deliver the measured slice without copying")
+	// The window's own settle path keeps the fields apart too: a Parallel
+	// round pruned by a model leaves every pruned entry's worst at its
+	// sentinel and delivers the prediction only through deliveryValue.
+	sp := testSpace()
+	ss := newSession("s1", &proto.Message{Parallel: true}, sp, search.NewPRO(sp, search.PROOptions{Seed: 5}), 0)
+	ss.surGate = core.NewSurrogateGate(&core.SurrogateOptions{Model: bowlModel(1), Keep: 0.25})
+	ss.fillLocked()
+	pruned := 0
+	for _, e := range ss.window {
+		if !e.pruned {
+			continue
+		}
+		pruned++
+		if !math.IsInf(e.worst, -1) {
+			t.Errorf("pruned entry worst = %v, want -Inf", e.worst)
+		}
+		if e.deliveryValue() != e.pred {
+			t.Errorf("pruned entry delivers %v, want its prediction %v", e.deliveryValue(), e.pred)
+		}
+	}
+	if pruned == 0 {
+		t.Fatal("the round pruned nothing; the separation went unexercised")
 	}
 }
